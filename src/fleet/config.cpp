@@ -47,8 +47,11 @@ FleetConfig::validate(const sim::GpuConfig &gpu,
               "pool of %u replicas",
               initialActiveReplicas, numReplicas);
     }
-    if (maxSimCycles == 0)
-        fatal("fleet maxSimCycles must be positive (got 0)");
+    if (serve.warmBootKernels > 0) {
+        fatal("fleet replicas do not warm boot (warmBootKernels %u); "
+              "set it to 0",
+              serve.warmBootKernels);
+    }
     if (autoscaler.enabled) {
         if (autoscaler.evalIntervalCycles == 0) {
             fatal("autoscaler evalIntervalCycles must be positive "

@@ -1,20 +1,18 @@
 /**
  * @file
- * FleetServer implementation: the multi-replica event loop.
+ * FleetServer implementation: the fleet's side of the frontend loop.
  */
 
 #include "rcoal/fleet/fleet.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 
 #include "rcoal/common/logging.hpp"
 #include "rcoal/common/rng.hpp"
 #include "rcoal/fleet/autoscaler.hpp"
-#include "rcoal/fleet/replica.hpp"
 #include "rcoal/fleet/router.hpp"
-#include "rcoal/serve/load_generator.hpp"
+#include "rcoal/serve/frontend_loop.hpp"
 #include "rcoal/spans/collector.hpp"
 #include "rcoal/telemetry/leakage_auditor.hpp"
 #include "rcoal/telemetry/sampler.hpp"
@@ -23,29 +21,26 @@ namespace rcoal::fleet {
 
 namespace {
 
-/** Fleet-layer instruments; null when telemetry is off. */
-struct FleetCells
+/** What one replica did, for the fleet report. */
+ReplicaReport
+replicaReport(const Replica &replica, Cycle total_cycles)
 {
-    std::vector<telemetry::Gauge *> queueDepth; ///< Per replica.
-    telemetry::Gauge *activeReplicas = nullptr;
-    telemetry::Counter *admitted = nullptr;
-    telemetry::Counter *rejected = nullptr;
-    telemetry::Counter *completed = nullptr;
-    telemetry::Counter *probeCompleted = nullptr;
-    telemetry::Counter *kernelsLaunched = nullptr;
-};
-
-/** Register (or look up) the per-replica depth gauges in @p reg. */
-std::vector<telemetry::Gauge *>
-depthGauges(telemetry::MetricRegistry &reg, unsigned num_replicas)
-{
-    std::vector<telemetry::Gauge *> out;
-    out.reserve(num_replicas);
-    for (unsigned r = 0; r < num_replicas; ++r) {
-        out.push_back(&reg.gauge(
-            "rcoal_fleet_queue_depth",
-            "Requests waiting in a replica's admission queue",
-            {{"replica", std::to_string(r)}}));
+    const serve::ReplicaTotals &totals = replica.totals();
+    ReplicaReport out;
+    out.replica = replica.index();
+    out.finalState = serve::replicaStateName(replica.state());
+    out.completed = totals.allLatency.count();
+    out.probeCompleted = totals.probeLatency.count();
+    out.admitted = replica.queue().admitted();
+    out.rejected = replica.queue().rejected();
+    out.kernelsLaunched = replica.scheduler().kernelsLaunched();
+    out.allLatency = totals.allLatency.summary();
+    out.probeLatency = totals.probeLatency.summary();
+    out.maxQueueDepth = totals.maxQueueDepth;
+    out.activeCycles = totals.activeCycles;
+    if (total_cycles > 0) {
+        out.meanQueueDepth = static_cast<double>(totals.queueDepthSum) /
+                             static_cast<double>(total_cycles);
     }
     return out;
 }
@@ -101,13 +96,6 @@ FleetServer::run(const FleetWorkloadSpec &spec,
             r, replica_gpu, serveConfig, secretKey,
             /*active=*/r < initial_active));
     }
-    unsigned active_count = initial_active;
-
-    serve::ClosedLoopGenerator probes(
-        /*clients=*/1, spec.probeThinkCycles, spec.probeLines,
-        spec.probeSeed, /*first_id=*/0, /*probes=*/true);
-    TenantLoadModel tenants(spec.tenants);
-    Router router(fleetConfig.routing);
 
     // The autoscaler reads its inputs and its SLO from a metric
     // registry; with no sampler attached the fleet brings its own, so
@@ -131,8 +119,13 @@ FleetServer::run(const FleetWorkloadSpec &spec,
     telemetry::MetricRegistry &reg =
         sampler != nullptr ? sampler->registry() : own_registry;
 
-    FleetCells cells;
-    cells.queueDepth = depthGauges(reg, num_replicas);
+    std::vector<telemetry::Gauge *> depth_gauges;
+    for (unsigned r = 0; r < num_replicas; ++r) {
+        depth_gauges.push_back(&reg.gauge(
+            "rcoal_fleet_queue_depth",
+            "Requests waiting in a replica's admission queue",
+            {{"replica", std::to_string(r)}}));
+    }
     std::unique_ptr<QueueDepthAutoscaler> autoscaler;
     if (fleetConfig.autoscaler.enabled) {
         autoscaler = std::make_unique<QueueDepthAutoscaler>(
@@ -140,52 +133,58 @@ FleetServer::run(const FleetWorkloadSpec &spec,
     }
 
     FleetReport report;
-    unsigned probe_completions = 0;
-    std::uint64_t completed_count = 0;
-    std::uint64_t active_cycle_sum = 0;
-    std::vector<serve::Request> arrivals;
-    std::vector<Replica *> routable;
     serve::StreamingLatency all_latency;
     serve::StreamingLatency probe_latency;
+    unsigned active_count = initial_active;
+    // The active set is always a prefix of the pool.
+    std::vector<Replica *> routable;
+    const auto refresh_routable = [&] {
+        routable.clear();
+        for (unsigned r = 0; r < active_count; ++r)
+            routable.push_back(replicas[r].get());
+    };
+    refresh_routable();
 
     if (sampler != nullptr) {
-        cells.activeReplicas =
+        telemetry::Gauge *active_replicas =
             &reg.gauge("rcoal_fleet_active_replicas",
                        "Replicas currently routable");
-        cells.admitted =
+        telemetry::Counter *admitted =
             &reg.counter("rcoal_fleet_admitted_total",
                          "Requests admitted fleet-wide");
-        cells.rejected =
+        telemetry::Counter *rejected =
             &reg.counter("rcoal_fleet_rejected_total",
                          "Requests rejected fleet-wide");
-        cells.completed =
+        telemetry::Counter *completed =
             &reg.counter("rcoal_fleet_completed_total",
                          "Requests completed fleet-wide");
-        cells.probeCompleted =
+        telemetry::Counter *probe_completed =
             &reg.counter("rcoal_fleet_probe_completed_total",
                          "Probe requests completed fleet-wide");
-        cells.kernelsLaunched =
+        telemetry::Counter *kernels_launched =
             &reg.counter("rcoal_fleet_kernels_launched_total",
                          "Batch kernels launched fleet-wide");
-        sampler->addCollector([&](Cycle) {
+        sampler->addCollector([=, &replicas, &depth_gauges, &active_count,
+                               &report](Cycle) {
             std::uint64_t admitted_sum = 0;
             std::uint64_t rejected_sum = 0;
             std::uint64_t launched_sum = 0;
+            std::uint64_t probe_sum = 0;
             for (unsigned r = 0; r < num_replicas; ++r) {
-                Replica &replica = *replicas[r];
-                cells.queueDepth[r]->set(
+                const Replica &replica = *replicas[r];
+                depth_gauges[r]->set(
                     static_cast<double>(replica.queue().size()));
                 admitted_sum += replica.queue().admitted();
                 rejected_sum += replica.queue().rejected();
                 launched_sum += replica.scheduler().kernelsLaunched();
+                probe_sum += replica.totals().probeLatency.count();
             }
-            cells.activeReplicas->set(
-                static_cast<double>(active_count));
-            cells.admitted->set(admitted_sum);
-            cells.rejected->set(rejected_sum);
-            cells.completed->set(completed_count);
-            cells.probeCompleted->set(probe_completions);
-            cells.kernelsLaunched->set(launched_sum);
+            active_replicas->set(static_cast<double>(active_count));
+            admitted->set(admitted_sum);
+            rejected->set(rejected_sum);
+            completed->set(report.completed.size());
+            probe_completed->set(probe_sum);
+            kernels_launched->set(launched_sum);
         });
         sampler->track("fleet_active_replicas", [&active_count] {
             return static_cast<double>(active_count);
@@ -204,210 +203,84 @@ FleetServer::run(const FleetWorkloadSpec &spec,
         sampler->alignAfter(0);
     }
 
-    const bool skipping =
-        replicas.front()->scheduler().gpu().cycleSkippingEnabled();
-
-    Cycle now = 0;
-    while (true) {
-        // 1. Retire finished batches on every in-service replica, in
-        //    replica order; notify the probe client and the auditors.
-        for (auto &replica_ptr : replicas) {
-            Replica &replica = *replica_ptr;
-            if (!replica.inService())
-                continue;
-            for (serve::CompletedRequest &done :
-                 replica.scheduler().collectCompleted(now)) {
-                const auto latency =
-                    static_cast<double>(done.latencyCycles());
-                all_latency.observe(latency);
-                replica.observeCompletion(done);
-                ++completed_count;
-                if (done.isProbe) {
-                    probe_latency.observe(latency);
-                    if (auditor != nullptr) {
-                        auditor->observe(
-                            replica.index(),
-                            static_cast<double>(
-                                done.kernelPredictedLastRoundAccesses),
-                            done.kernelLastRoundTime);
-                    }
-                    probes.onCompletion(done.clientId, now);
-                    ++probe_completions;
-                }
-                report.completedReplica.push_back(replica.index());
-                report.completed.push_back(std::move(done));
-            }
-            if (replica.state() == ReplicaState::Draining &&
-                replica.drained()) {
-                replica.setIdle(now);
+    Router router(fleetConfig.routing);
+    const auto route = [&](serve::Request &request, Cycle now) -> Replica & {
+        Replica &target = (request.isProbe && pin >= 0)
+                              ? *replicas[static_cast<unsigned>(pin)]
+                              : router.route(request, routable);
+        if (span_collector != nullptr) {
+            // Route stage: frontend arrival -> routed cycle,
+            // component/detail = chosen replica.
+            span_collector->stampRequest(
+                request.spanId, spans::SpanStage::Route, request.arrival,
+                now, target.index(),
+                static_cast<std::uint16_t>(target.index()));
+        }
+        return target;
+    };
+    const auto on_completion = [&](const Replica &replica,
+                                   serve::CompletedRequest &&done, Cycle) {
+        const auto latency = static_cast<double>(done.latencyCycles());
+        all_latency.observe(latency);
+        if (done.isProbe) {
+            probe_latency.observe(latency);
+            if (auditor != nullptr) {
+                auditor->observe(replica.index(),
+                                 static_cast<double>(
+                                     done.kernelPredictedLastRoundAccesses),
+                                 done.kernelLastRoundTime);
             }
         }
-        if (probe_completions >= spec.probeSamples)
-            break;
-
-        // 2. New arrivals are routed, then pass per-replica admission.
-        arrivals.clear();
-        probes.poll(now, arrivals);
-        tenants.poll(now, arrivals);
-        if (!arrivals.empty()) {
-            routable.clear();
-            for (auto &replica_ptr : replicas) {
-                if (replica_ptr->routable())
-                    routable.push_back(replica_ptr.get());
-            }
-            for (serve::Request &request : arrivals) {
-                Replica &target =
-                    (request.isProbe && pin >= 0)
-                        ? *replicas[static_cast<unsigned>(pin)]
-                        : router.route(request, routable);
-                RCOAL_ASSERT(target.routable(),
-                             "request routed to %s replica %u",
-                             replicaStateName(target.state()),
-                             target.index());
-                const int client = request.clientId;
-                if (span_collector != nullptr) {
-                    request.spanId = span_collector->openRequest();
-                    // Route stage: frontend arrival -> routed cycle,
-                    // component/detail = chosen replica.
-                    span_collector->stampRequest(
-                        request.spanId, spans::SpanStage::Route,
-                        request.arrival, now, target.index(),
-                        static_cast<std::uint16_t>(target.index()));
-                }
-                const std::uint32_t span_id = request.spanId;
-                if (target.queue().tryPush(std::move(request)))
-                    continue;
-                if (span_collector != nullptr)
-                    span_collector->abandon(span_id);
-                // Same contract as serve: a rejected closed-loop
-                // client must be handed its request back or it waits
-                // forever.
-                if (client >= 0)
-                    probes.onRejection(client, std::move(request), now);
-            }
-        }
-
-        // 3. Autoscaling on its evaluation grid: publish the depth
-        //    gauges, let the scaler read them (and the SLO) back from
-        //    the registry, then grow into the lowest idle replica or
-        //    drain the highest active one.
-        if (autoscaler != nullptr && now == autoscaler->nextEvalCycle()) {
+        report.completedReplica.push_back(replica.index());
+        report.completed.push_back(std::move(done));
+    };
+    // Autoscaling on its evaluation grid: publish the depth gauges, let
+    // the scaler read them (and the SLO) back from the registry, then
+    // grow into the lowest idle replica or drain the highest active one.
+    const auto autoscale = [&](Cycle now) -> Cycle {
+        if (autoscaler == nullptr)
+            return kInvalidCycle;
+        if (now == autoscaler->nextEvalCycle()) {
             for (unsigned r = 0; r < num_replicas; ++r) {
-                cells.queueDepth[r]->set(static_cast<double>(
+                depth_gauges[r]->set(static_cast<double>(
                     replicas[r]->queue().size()));
             }
             const unsigned desired =
                 autoscaler->evaluate(now, active_count);
             while (active_count < desired)
-                replicas[active_count++]->activate(now);
+                replicas[active_count++]->activate();
             while (active_count > desired)
-                replicas[--active_count]->startDraining(now);
+                replicas[--active_count]->startDraining();
+            refresh_routable();
         }
+        return autoscaler->nextEvalCycle();
+    };
 
-        // 4. Launch batches wherever a gang is free; draining replicas
-        //    keep launching until their queue is empty.
-        for (auto &replica_ptr : replicas) {
-            Replica &replica = *replica_ptr;
-            if (!replica.inService())
-                continue;
-            while (replica.scheduler().gangFree()) {
-                std::vector<serve::Request> batch =
-                    replica.batcher().formBatch(replica.queue(), now);
-                if (batch.empty())
-                    break;
-                replica.scheduler().launchBatch(std::move(batch), now);
-            }
-        }
-
-        // 5. Occupancy accounting for this cycle, then advance every
-        //    machine together — idle replicas too, so a replica's
-        //    device state depends only on the cycle count, never on
-        //    when the autoscaler last used it.
-        for (auto &replica_ptr : replicas)
-            replica_ptr->recordOccupancy(1);
-        active_cycle_sum += active_count;
-
-        for (auto &replica_ptr : replicas)
-            replica_ptr->scheduler().tick();
-        ++now;
-        if (now > fleetConfig.maxSimCycles) {
-            fatal("fleet simulation still running after %llu cycles "
-                  "(%u/%u probes done) — livelocked workload?",
-                  static_cast<unsigned long long>(now),
-                  probe_completions, spec.probeSamples);
-        }
-        if (sampler != nullptr && now >= sampler->nextSampleCycle())
-            sampler->sampleAt(now);
-
-        // 6. Event-driven sleep across the whole fleet. The candidate
-        //    window ends at the earliest event any machine or frontend
-        //    component can see; every machine then skips to ONE common
-        //    landing cycle — the minimum of the per-machine memory-
-        //    clock cutoffs — so the fleet clock never fragments.
-        if (!skipping)
-            continue;
-        bool untaken = false;
-        Cycle target = fleetConfig.maxSimCycles + 1;
-        for (auto &replica_ptr : replicas) {
-            const sim::GpuMachine &machine =
-                replica_ptr->scheduler().gpu();
-            if (machine.anyCompletedUntaken()) {
-                untaken = true;
-                break;
-            }
-            target = std::min(target, machine.nextEventCycle());
-        }
-        if (untaken || target <= now + 1)
-            continue;
-        target = std::min(target, probes.nextEventCycle());
-        target = std::min(target, tenants.nextEventCycle());
-        for (auto &replica_ptr : replicas) {
-            Replica &replica = *replica_ptr;
-            if (replica.inService() &&
-                replica.scheduler().gangFree()) {
-                target = std::min(target,
-                                  replica.batcher().earliestLaunch(
-                                      replica.queue(), now));
-            }
-        }
-        if (sampler != nullptr)
-            target = std::min(target, sampler->nextSampleCycle());
-        if (autoscaler != nullptr)
-            target = std::min(target, autoscaler->nextEvalCycle());
-        target = std::min(target, fleetConfig.maxSimCycles + 1);
-        if (target <= now + 1)
-            continue;
-
-        Cycle landing = target - 1;
-        for (auto &replica_ptr : replicas) {
-            landing = std::min(
-                landing,
-                replica_ptr->scheduler().gpu().skipStopCycle(target));
-        }
-        if (landing <= now)
-            continue;
-        const Cycle skipped = landing - now;
-        for (auto &replica_ptr : replicas) {
-            sim::GpuMachine &machine = replica_ptr->scheduler().gpu();
-            machine.skipTo(landing + 1);
-            RCOAL_ASSERT(machine.now() == landing,
-                         "replica %u landed at %llu, fleet at %llu",
-                         replica_ptr->index(),
-                         static_cast<unsigned long long>(machine.now()),
-                         static_cast<unsigned long long>(landing));
-            replica_ptr->recordOccupancy(skipped);
-        }
-        active_cycle_sum += static_cast<std::uint64_t>(active_count) *
-                            skipped;
-        now = landing;
-    }
+    serve::ClosedLoopGenerator probes(
+        /*clients=*/1, spec.probeThinkCycles, spec.probeLines,
+        spec.probeSeed, /*first_id=*/0, /*probes=*/true);
+    TenantLoadModel tenants(spec.tenants);
+    const Cycle now = serve::runFrontendLoop({
+        .replicas = replicas,
+        .probes = &probes,
+        .background = &tenants,
+        .probeSamples = spec.probeSamples,
+        .maxSimCycles = serveConfig.maxSimCycles,
+        .spans = span_collector,
+        .sampler = sampler,
+        .route = route,
+        .onCompletion = on_completion,
+        .control = autoscale,
+    });
 
     report.totalCycles = now;
     report.replicas.reserve(num_replicas);
+    Cycle active_cycle_sum = 0;
     for (const auto &replica_ptr : replicas) {
-        ReplicaReport rr = replica_ptr->report(now);
+        ReplicaReport rr = replicaReport(*replica_ptr, now);
         report.admitted += rr.admitted;
         report.rejected += rr.rejected;
+        active_cycle_sum += rr.activeCycles;
         report.replicas.push_back(std::move(rr));
     }
     report.allLatency = all_latency.summary();

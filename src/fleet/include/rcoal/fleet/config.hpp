@@ -100,13 +100,13 @@ struct FleetConfig
 
     AutoscalerConfig autoscaler;
 
-    /** Hard wall for one fleet simulation (livelock guard). */
-    Cycle maxSimCycles = 500'000'000;
-
     /** Replicas active at cycle 0 after defaulting rules. */
     unsigned resolvedInitialActive() const;
 
-    /** Panics (fatal) on inconsistent parameters. */
+    /**
+     * Panics (fatal) on inconsistent parameters, including a @p serve
+     * that asks for warm boot: fleet replicas start cold.
+     */
     void validate(const sim::GpuConfig &gpu,
                   const serve::ServeConfig &serve) const;
 

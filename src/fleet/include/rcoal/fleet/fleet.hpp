@@ -1,15 +1,16 @@
 /**
  * @file
- * FleetServer: N GpuMachine+serve replicas behind one deterministic
- * router, driven on a single shared virtual clock.
+ * FleetServer: N serve::Replicas behind one deterministic router, driven
+ * on a single shared virtual clock.
  *
- * The fleet loop generalizes rcoal::serve's event loop to many
- * machines. Replicas never run ahead of the shared clock: when cycle
- * skipping is on, the loop takes the minimum of every machine's
- * skipStopCycle() (plus the frontend's arrival, batching, sampling and
- * autoscaling bounds) and skips all machines to exactly that common
- * cycle. That is what makes a fleet run's output byte-identical with
- * skipping on or off — and, since every loop is single-threaded and
+ * The fleet runs the same frontend loop as the solo server
+ * (serve::runFrontendLoop) over N replicas and supplies only what it
+ * adds: routing and probe pinning (with the Route span stamp), the
+ * queue-depth autoscaler as the loop's control step, replica lifecycle,
+ * the rcoal_fleet_* instruments and the per-replica leakage auditor.
+ * The loop keeps replicas on one clock — every skip lands all machines
+ * on one common cycle — which makes a fleet run's output byte-identical
+ * with skipping on or off and, since the loop is single-threaded and
  * all randomness is counter-based, across any RCOAL_THREADS setting.
  */
 
@@ -94,7 +95,9 @@ class FleetServer
     /**
      * @param gpu the per-replica device config; replica i reseeds it
      *        with Rng::deriveSeed(gpu.seed, i).
-     * @param serve per-replica frontend knobs (validated against gpu).
+     * @param serve per-replica frontend knobs (validated against gpu;
+     *        warmBootKernels must be 0, maxSimCycles is the livelock
+     *        guard).
      * @param fleet fleet sizing, routing and autoscaling.
      * @param key the service's secret AES key (shared by all replicas,
      *        as one deployment's replicas share one keystore).
@@ -106,7 +109,7 @@ class FleetServer
     /**
      * Simulate until @p spec.probeSamples probe requests completed and
      * return the fleet-wide report. fatal()s past
-     * FleetConfig::maxSimCycles (livelock guard).
+     * ServeConfig::maxSimCycles (livelock guard).
      */
     FleetReport run(const FleetWorkloadSpec &spec,
                     const FleetTelemetry *telemetry = nullptr) const;

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "rcoal/common/types.hpp"
-#include "rcoal/serve/request.hpp"
+#include "rcoal/serve/load_generator.hpp"
 
 namespace rcoal::fleet {
 
@@ -84,7 +84,7 @@ struct TenantLoadConfig
 /**
  * The deterministic multi-tenant arrival process.
  */
-class TenantLoadModel
+class TenantLoadModel final : public serve::ArrivalSource
 {
   public:
     explicit TenantLoadModel(TenantLoadConfig config);
@@ -95,14 +95,14 @@ class TenantLoadModel
      * and carrying its tenant id (1-based; 0 is reserved for probes and
      * single-tenant traffic).
      */
-    void poll(Cycle now, std::vector<serve::Request> &out);
+    void poll(Cycle now, std::vector<serve::Request> &out) override;
 
     /**
      * Cycle of the earliest next arrival over all tenants
      * (kInvalidCycle when disabled). Primes lazily like poll() would,
      * so consulting the bound never perturbs the arrival sequence.
      */
-    Cycle nextEventCycle();
+    Cycle nextEventCycle() override;
 
     /** Requests emitted so far. */
     std::uint64_t issued() const { return issuedCount; }

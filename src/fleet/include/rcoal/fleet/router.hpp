@@ -13,9 +13,13 @@
 #include "rcoal/fleet/config.hpp"
 #include "rcoal/serve/request.hpp"
 
+namespace rcoal::serve {
+class Replica;
+} // namespace rcoal::serve
+
 namespace rcoal::fleet {
 
-class Replica;
+using serve::Replica;
 
 class Router
 {

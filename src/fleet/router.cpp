@@ -7,7 +7,7 @@
 
 #include "rcoal/common/logging.hpp"
 #include "rcoal/common/rng.hpp"
-#include "rcoal/fleet/replica.hpp"
+#include "rcoal/serve/replica.hpp"
 
 namespace rcoal::fleet {
 

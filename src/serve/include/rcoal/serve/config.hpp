@@ -69,7 +69,10 @@ struct ServeConfig
      */
     unsigned smsPerKernel = 5;
 
-    /** Hard wall for one serve simulation (deadlock/livelock guard). */
+    /**
+     * Hard wall for one serve or fleet simulation, in cycles after the
+     * loop starts (deadlock/livelock guard).
+     */
     Cycle maxSimCycles = 500'000'000;
 
     /**

@@ -47,9 +47,25 @@ inline constexpr Cycle kMaxGapCycles = Cycle{1} << 62;
 } // namespace detail
 
 /**
+ * An open-loop arrival process the frontend loop polls: the solo
+ * server's OpenLoopGenerator or the fleet's TenantLoadModel.
+ */
+class ArrivalSource
+{
+  public:
+    virtual ~ArrivalSource() = default;
+
+    /** Append every request scheduled at or before cycle @p now. */
+    virtual void poll(Cycle now, std::vector<Request> &out) = 0;
+
+    /** Cycle of the next arrival (kInvalidCycle when none). */
+    virtual Cycle nextEventCycle() = 0;
+};
+
+/**
  * Open-loop (arrival-rate driven) background traffic.
  */
-class OpenLoopGenerator
+class OpenLoopGenerator final : public ArrivalSource
 {
   public:
     /**
@@ -72,14 +88,14 @@ class OpenLoopGenerator
      * after a skipped window) must observe exactly the timestamps a
      * per-cycle poller would, or queueing latency is under-counted.
      */
-    void poll(Cycle now, std::vector<Request> &out);
+    void poll(Cycle now, std::vector<Request> &out) override;
 
     /**
      * Cycle of the next arrival (kInvalidCycle when disabled). Primes
      * the lazily drawn first gap exactly as poll() would, so consulting
      * the bound never perturbs the arrival sequence.
      */
-    Cycle nextEventCycle();
+    Cycle nextEventCycle() override;
 
     /**
      * Rebase the arrival process to begin at @p origin: the first gap

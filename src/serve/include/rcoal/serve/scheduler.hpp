@@ -87,6 +87,7 @@ class KernelScheduler
 
     /** Attach a sink for serve launch/complete events (core domain). */
     void setTraceSink(trace::TraceSink *s) { traceSink = s; }
+    trace::TraceSink *sink() const { return traceSink; }
 
     /**
      * Attach a span collector: wires the machine's stamp points and

@@ -1,8 +1,11 @@
 /**
  * @file
- * The encryption server: one virtual-time event loop wiring the request
- * queue, batcher, load generators and concurrent-kernel scheduler into
- * a serving system, measured end to end.
+ * The encryption server: one serve::Replica (request queue, batcher and
+ * concurrent-kernel scheduler around one GpuMachine) driven by the
+ * frontend loop (frontend_loop.hpp) with a closed-loop probe client and
+ * open-loop background traffic, measured end to end. The server adds
+ * warm boot, the tracer sink, the rcoal_serve_* instruments and the
+ * leakage auditors; the fleet runs the same loop over N replicas.
  *
  * The loop is strictly single-threaded and advances in core cycles, so
  * a scenario's result is a pure function of (GpuConfig, ServeConfig,

@@ -5,14 +5,12 @@
 
 #include "rcoal/serve/server.hpp"
 
-#include <algorithm>
+#include <array>
+#include <memory>
 #include <tuple>
 
 #include "rcoal/common/logging.hpp"
-#include "rcoal/serve/batcher.hpp"
-#include "rcoal/serve/load_generator.hpp"
-#include "rcoal/serve/request_queue.hpp"
-#include "rcoal/serve/scheduler.hpp"
+#include "rcoal/serve/frontend_loop.hpp"
 #include "rcoal/spans/collector.hpp"
 #include "rcoal/telemetry/leakage_auditor.hpp"
 #include "rcoal/telemetry/sampler.hpp"
@@ -60,25 +58,6 @@ runBootLaunches(sim::GpuMachine &machine,
     }
 }
 
-/** Serve-layer instruments; null when telemetry is off. */
-struct ServeCells
-{
-    telemetry::Gauge *queueDepth = nullptr;
-    telemetry::Gauge *busyGangs = nullptr;
-    telemetry::Counter *admitted = nullptr;
-    telemetry::Counter *rejected = nullptr;
-    telemetry::Counter *completed = nullptr;
-    telemetry::Counter *probeCompleted = nullptr;
-    telemetry::Counter *kernelsLaunched = nullptr;
-    telemetry::LogHistogram *batchRequests = nullptr;
-    telemetry::LogHistogram *latencyAll = nullptr;
-    telemetry::LogHistogram *latencyProbe = nullptr;
-    /** (sink, recorded counter, dropped counter) triples. */
-    std::vector<std::tuple<const trace::TraceSink *,
-                           telemetry::Counter *, telemetry::Counter *>>
-        sinks;
-};
-
 } // namespace
 
 EncryptionServer::EncryptionServer(const sim::GpuConfig &gpu,
@@ -109,27 +88,30 @@ EncryptionServer::run(const WorkloadSpec &spec,
     RCOAL_ASSERT(warm_boot == nullptr || serveConfig.warmBootKernels > 0,
                  "warm-boot snapshot passed with warmBootKernels == 0");
 
-    RequestQueue queue(serveConfig.queueCapacity);
-    Batcher batcher(serveConfig);
-    KernelScheduler scheduler(gpuConfig, serveConfig, secretKey);
+    // One replica on the scenario seed as given (a fleet derives one
+    // seed per replica; a solo server is not reseeded).
+    const std::array<std::unique_ptr<Replica>, 1> replicas = {
+        std::make_unique<Replica>(0, gpuConfig, serveConfig, secretKey)};
+    Replica &replica = *replicas.front();
+    const RequestQueue &queue = replica.queue();
+    KernelScheduler &scheduler = replica.scheduler();
+    sim::GpuMachine &machine = replica.gpu();
     if (serveConfig.warmBootKernels > 0) {
         // Boot before any tracer/telemetry attaches: the boot prefix is
         // shared machinery, not part of the measured scenario. restore()
         // adopts the snapshot's seed (warmBootSeed) just like the inline
         // replay, so reseeding back to the scenario seed makes the two
         // paths byte-identical from here on.
-        sim::GpuMachine &machine = scheduler.gpu();
         if (warm_boot != nullptr)
             machine.restore(*warm_boot);
         else
             runBootLaunches(machine, secretKey, serveConfig);
         machine.reseed(gpuConfig.seed);
     }
-    [[maybe_unused]] trace::TraceSink *serve_sink = nullptr;
     if (tracer != nullptr) {
-        scheduler.gpu().setTracer(tracer);
-        serve_sink = &tracer->sink("serve", trace::ClockDomain::Core);
-        scheduler.setTraceSink(serve_sink);
+        machine.setTracer(tracer);
+        scheduler.setTraceSink(
+            &tracer->sink("serve", trace::ClockDomain::Core));
     }
     // Span tracing attaches after the warm boot for the same reason
     // the tracer does: the boot prefix is shared machinery. The
@@ -151,15 +133,13 @@ EncryptionServer::run(const WorkloadSpec &spec,
                                  kBackgroundFirstId);
 
     ServeReport report;
-    unsigned probe_completions = 0;
-    std::uint64_t completed_count = 0;
-    std::uint64_t depth_sum = 0;
-    std::uint64_t busy_sum = 0;
-    std::vector<Request> arrivals;
-    StreamingLatency all_latency;
-    StreamingLatency probe_latency;
-
-    ServeCells cells;
+    const ReplicaTotals &totals = replica.totals();
+    // Histograms are fed per launch / completion; the other serve
+    // instruments are refreshed by a sampler collector. Null when
+    // telemetry is off.
+    telemetry::LogHistogram *batch_requests = nullptr;
+    telemetry::LogHistogram *latency_all = nullptr;
+    telemetry::LogHistogram *latency_probe = nullptr;
     telemetry::TelemetrySampler *sampler =
         telemetry != nullptr ? telemetry->sampler : nullptr;
     telemetry::LeakageAuditor *auditor =
@@ -167,46 +147,51 @@ EncryptionServer::run(const WorkloadSpec &spec,
     if (sampler != nullptr) {
         telemetry::MetricRegistry &reg = sampler->registry();
         // Machine instruments first: setTelemetry also re-anchors the
-        // sampler and folds its bound into nextEventCycle().
-        scheduler.gpu().setTelemetry(sampler);
-        cells.queueDepth =
+        // sampler and folds its bound into nextEventCycle(), so the
+        // machine (not the loop) drives the sampler.
+        machine.setTelemetry(sampler);
+        telemetry::Gauge *queue_depth =
             &reg.gauge("rcoal_serve_queue_depth",
                        "Requests waiting in the admission queue");
-        cells.busyGangs =
+        telemetry::Gauge *busy_gangs =
             &reg.gauge("rcoal_serve_busy_gangs",
                        "SM gangs currently running a batch kernel");
-        cells.admitted =
+        telemetry::Counter *admitted =
             &reg.counter("rcoal_serve_admitted_total",
                          "Requests accepted by admission control");
-        cells.rejected =
+        telemetry::Counter *rejected =
             &reg.counter("rcoal_serve_rejected_total",
                          "Requests rejected by admission control");
-        cells.completed =
+        telemetry::Counter *completed =
             &reg.counter("rcoal_serve_completed_total",
                          "Requests completed end to end");
-        cells.probeCompleted =
+        telemetry::Counter *probe_completed =
             &reg.counter("rcoal_serve_probe_completed_total",
                          "Probe (attacker) requests completed");
-        cells.kernelsLaunched =
+        telemetry::Counter *kernels_launched =
             &reg.counter("rcoal_serve_kernels_launched_total",
                          "Batch kernels launched");
-        cells.batchRequests =
+        batch_requests =
             &reg.histogram("rcoal_serve_batch_requests",
                            "Requests per launched batch kernel", {},
                            /*value_bits=*/16);
-        cells.latencyAll = &reg.histogram(
+        latency_all = &reg.histogram(
             "rcoal_serve_request_latency_cycles",
             "End-to-end request latency in core cycles",
             {{"scope", "all"}});
-        cells.latencyProbe = &reg.histogram(
+        latency_probe = &reg.histogram(
             "rcoal_serve_request_latency_cycles",
             "End-to-end request latency in core cycles",
             {{"scope", "probe"}});
+        // (sink, recorded counter, dropped counter) triples.
+        std::vector<std::tuple<const trace::TraceSink *,
+                               telemetry::Counter *, telemetry::Counter *>>
+            sinks;
         if (tracer != nullptr) {
             for (const auto &sink : tracer->sinks()) {
                 const telemetry::MetricRegistry::Labels sink_labels = {
                     {"sink", std::string(sink->name())}};
-                cells.sinks.emplace_back(
+                sinks.emplace_back(
                     sink.get(),
                     &reg.counter("rcoal_trace_recorded_total",
                                  "Trace events recorded, per sink",
@@ -217,16 +202,16 @@ EncryptionServer::run(const WorkloadSpec &spec,
                                  sink_labels));
             }
         }
-        sampler->addCollector([&](Cycle) {
-            cells.queueDepth->set(static_cast<double>(queue.size()));
-            cells.busyGangs->set(
-                static_cast<double>(scheduler.busyGangs()));
-            cells.admitted->set(queue.admitted());
-            cells.rejected->set(queue.rejected());
-            cells.completed->set(completed_count);
-            cells.probeCompleted->set(probe_completions);
-            cells.kernelsLaunched->set(scheduler.kernelsLaunched());
-            for (auto &[sink, recorded, dropped] : cells.sinks) {
+        sampler->addCollector([=, &queue, &scheduler, &totals,
+                               sinks = std::move(sinks)](Cycle) {
+            queue_depth->set(static_cast<double>(queue.size()));
+            busy_gangs->set(static_cast<double>(scheduler.busyGangs()));
+            admitted->set(queue.admitted());
+            rejected->set(queue.rejected());
+            completed->set(totals.allLatency.count());
+            probe_completed->set(totals.probeLatency.count());
+            kernels_launched->set(scheduler.kernelsLaunched());
+            for (const auto &[sink, recorded, dropped] : sinks) {
                 recorded->set(sink->totalRecorded());
                 dropped->set(sink->dropped());
             }
@@ -263,157 +248,54 @@ EncryptionServer::run(const WorkloadSpec &spec,
         }
     }
 
-    // The loop runs in machine time rebased to the boot point: after a
-    // warm boot the machine clock is already past zero, and keeping
-    // now == machine.now() is what lets the skip path below pass
-    // machine-time targets through unchanged. All reported cycle
-    // counts subtract `start`, so they are boot-invariant.
-    const Cycle start = scheduler.gpu().now();
+    // The loop runs in machine time rebased to the boot point; every
+    // reported cycle count subtracts `start`, so it is boot-invariant.
+    const Cycle start = machine.now();
     probes.startAt(start);
     background.startAt(start);
-    Cycle now = start;
-    while (true) {
-        // 1. Retire finished batches and notify closed-loop clients.
-        for (CompletedRequest &done : scheduler.collectCompleted(now)) {
-            const auto latency =
-                static_cast<double>(done.latencyCycles());
-            all_latency.observe(latency);
-            ++completed_count;
-            if (cells.latencyAll != nullptr)
-                cells.latencyAll->observe(done.latencyCycles());
-            if (done.isProbe) {
-                probe_latency.observe(latency);
-                if (cells.latencyProbe != nullptr)
-                    cells.latencyProbe->observe(done.latencyCycles());
-                if (auditor != nullptr) {
-                    auditor->observe(
+    const auto on_completion = [&](const Replica &,
+                                   CompletedRequest &&done, Cycle) {
+        if (latency_all != nullptr)
+            latency_all->observe(done.latencyCycles());
+        if (done.isProbe) {
+            if (latency_probe != nullptr)
+                latency_probe->observe(done.latencyCycles());
+            const auto x =
+                static_cast<double>(done.kernelPredictedLastRoundAccesses);
+            if (auditor != nullptr)
+                auditor->observe(x, done.kernelLastRoundTime);
+            if (stage_auditor != nullptr && done.spanSampled) {
+                // Per-stage attribution: same X series as the end-to-end
+                // auditor, Y = this stage's last-round cycle slice.
+                // Pearson is scale-invariant, so the DRAM stage's
+                // memory-clock slice needs no conversion.
+                for (std::size_t st = 0; st < spans::kNumSpanStages; ++st) {
+                    stage_auditor->observe(
+                        st, x,
                         static_cast<double>(
-                            done.kernelPredictedLastRoundAccesses),
-                        done.kernelLastRoundTime);
-                }
-                if (stage_auditor != nullptr && done.spanSampled) {
-                    // Per-stage attribution: same X series as the
-                    // end-to-end auditor, Y = this stage's last-round
-                    // cycle slice. Pearson is scale-invariant, so the
-                    // DRAM stage's memory-clock slice needs no
-                    // conversion.
-                    const auto x = static_cast<double>(
-                        done.kernelPredictedLastRoundAccesses);
-                    for (std::size_t st = 0;
-                         st < spans::kNumSpanStages; ++st) {
-                        stage_auditor->observe(
-                            st, x,
-                            static_cast<double>(
-                                done.stageTotals.lastRoundCycles[st]));
-                    }
-                }
-                probes.onCompletion(done.clientId, now);
-                ++probe_completions;
-            }
-            report.completed.push_back(std::move(done));
-        }
-        if (probe_completions >= spec.probeSamples)
-            break;
-
-        // 2. New arrivals pass admission control.
-        arrivals.clear();
-        probes.poll(now, arrivals);
-        background.poll(now, arrivals);
-        for (Request &request : arrivals) {
-            [[maybe_unused]] const bool is_probe = request.isProbe;
-            const int client = request.clientId;
-            [[maybe_unused]] const std::uint64_t rid = request.id;
-            [[maybe_unused]] const unsigned req_lines = request.lines();
-            if (span_collector != nullptr)
-                request.spanId = span_collector->openRequest();
-            const std::uint32_t span_id = request.spanId;
-            if (queue.tryPush(std::move(request))) {
-                RCOAL_TRACE(serve_sink, ServeAdmit, now, rid, req_lines,
-                            is_probe ? 1 : 0);
-                continue;
-            }
-            if (span_collector != nullptr)
-                span_collector->abandon(span_id);
-            RCOAL_TRACE(serve_sink, ServeReject, now, rid, req_lines,
-                        is_probe ? 1 : 0);
-            // tryPush leaves a rejected request intact. Every rejected
-            // closed-loop client must be notified or it stays `waiting`
-            // forever (stuck-client livelock) — key off clientId, not
-            // isProbe, so the invariant holds for any future closed-loop
-            // traffic, not just the attacker.
-            if (client >= 0)
-                probes.onRejection(client, std::move(request), now);
-        }
-
-        // 3. Launch batches while gangs are free and the batcher is
-        //    willing to form one.
-        while (scheduler.gangFree()) {
-            std::vector<Request> batch = batcher.formBatch(queue, now);
-            if (batch.empty())
-                break;
-            RCOAL_TRACE(serve_sink, ServeBatch, now, batch.size(),
-                        [&batch] {
-                            unsigned lines = 0;
-                            for (const Request &r : batch)
-                                lines += r.lines();
-                            return lines;
-                        }(),
-                        0);
-            if (cells.batchRequests != nullptr)
-                cells.batchRequests->observe(batch.size());
-            scheduler.launchBatch(std::move(batch), now);
-        }
-
-        // 4. Sample occupancy, then advance the machine.
-        depth_sum += queue.size();
-        report.maxQueueDepth =
-            std::max(report.maxQueueDepth, queue.size());
-        const unsigned busy = scheduler.busySms();
-        busy_sum += busy;
-        report.maxBusySms = std::max(report.maxBusySms, busy);
-
-        scheduler.tick();
-        ++now;
-        if (now - start > serveConfig.maxSimCycles) {
-            fatal("serve simulation still running after %llu cycles "
-                  "(%u/%u probes done) — livelocked workload?",
-                  static_cast<unsigned long long>(now - start),
-                  probe_completions, spec.probeSamples);
-        }
-
-        // 5. Event-driven sleep: when nothing can happen before the
-        //    next machine / arrival / batch-deadline event, fast-forward
-        //    instead of polling every cycle. A completed-but-uncollected
-        //    kernel pins per-cycle stepping because step 1 consumes it
-        //    at this exact loop cycle (probe think times key off it).
-        //    The skipped iterations are provably identical no-ops except
-        //    for the occupancy sampling, which is applied in bulk.
-        sim::GpuMachine &machine = scheduler.gpu();
-        if (machine.cycleSkippingEnabled()) {
-            // The machine bound is checked first: on event-dense
-            // stretches it pins to now + 1 after one component check,
-            // and the dearer frontend bounds are never computed.
-            Cycle target = machine.nextEventCycle();
-            if (target > now + 1 && !machine.anyCompletedUntaken()) {
-                target = std::min(target, probes.nextEventCycle());
-                target = std::min(target, background.nextEventCycle());
-                if (scheduler.gangFree()) {
-                    target = std::min(
-                        target, batcher.earliestLaunch(queue, now));
-                }
-                // Keep the livelock backstop: never jump past the cycle
-                // the fatal above would have fired at.
-                target = std::min(target,
-                                  start + serveConfig.maxSimCycles + 1);
-                if (target > now + 1) {
-                    const Cycle skipped = machine.skipTo(target);
-                    depth_sum += queue.size() * skipped;
-                    busy_sum += scheduler.busySms() * skipped;
-                    now += skipped;
+                            done.stageTotals.lastRoundCycles[st]));
                 }
             }
         }
-    }
+        report.completed.push_back(std::move(done));
+    };
+    const Cycle now = runFrontendLoop({
+        .replicas = replicas,
+        .probes = &probes,
+        .background = &background,
+        .probeSamples = spec.probeSamples,
+        .maxSimCycles = serveConfig.maxSimCycles,
+        .spans = span_collector,
+        .route = [&replica](Request &, Cycle) -> Replica & {
+            return replica;
+        },
+        .onLaunch =
+            [batch_requests](const std::vector<Request> &batch) {
+                if (batch_requests != nullptr)
+                    batch_requests->observe(batch.size());
+            },
+        .onCompletion = on_completion,
+    });
 
     report.totalCycles = now - start;
     report.kernels = scheduler.takeKernelSnapshots();
@@ -425,10 +307,14 @@ EncryptionServer::run(const WorkloadSpec &spec,
             ? 0.0
             : static_cast<double>(scheduler.batchedRequests()) /
                   static_cast<double>(scheduler.kernelsLaunched());
+    report.maxQueueDepth = totals.maxQueueDepth;
+    report.maxBusySms = totals.maxBusySms;
     if (now > start) {
         const auto elapsed = static_cast<double>(now - start);
-        report.meanQueueDepth = static_cast<double>(depth_sum) / elapsed;
-        report.meanBusySms = static_cast<double>(busy_sum) / elapsed;
+        report.meanQueueDepth =
+            static_cast<double>(totals.queueDepthSum) / elapsed;
+        report.meanBusySms =
+            static_cast<double>(totals.busySmSum) / elapsed;
         report.smOccupancy =
             report.meanBusySms / static_cast<double>(gpuConfig.numSms);
         const double seconds = elapsed / (gpuConfig.coreClockMhz * 1e6);
@@ -436,8 +322,8 @@ EncryptionServer::run(const WorkloadSpec &spec,
             static_cast<double>(report.completed.size()) / seconds;
     }
 
-    report.allLatency = all_latency.summary();
-    report.probeLatency = probe_latency.summary();
+    report.allLatency = totals.allLatency.summary();
+    report.probeLatency = totals.probeLatency.summary();
 
     if (sampler != nullptr) {
         // Final refresh so the exposition snapshot reflects the end
@@ -445,7 +331,7 @@ EncryptionServer::run(const WorkloadSpec &spec,
         // objects die with this frame, the registry and series do not.
         sampler->collect(now);
         sampler->detachSources();
-        scheduler.gpu().setTelemetry(nullptr);
+        machine.setTelemetry(nullptr);
     }
     if (span_collector != nullptr)
         scheduler.setSpanCollector(nullptr);

@@ -1,69 +1,21 @@
 /**
  * @file
- * SpanSlab: fixed-capacity, allocation-free ring of SpanRecords.
- *
- * Same overwrite-oldest discipline as trace::TraceSink and the same
- * slab idiom as sim::AccessSlab: capacity is fixed at construction,
- * append never allocates, and when full the oldest retained record is
- * overwritten and counted in dropped(). snapshot() returns records in
- * chronological append order regardless of wrap, so two runs that
- * appended the same sequence produce byte-identical snapshots.
+ * SpanSlab: the span collector's fixed-capacity, allocation-free ring
+ * of SpanRecords — the same overwrite-oldest ring as trace::TraceSink
+ * (common::OverwriteRing). Its snapshot() is chronological regardless
+ * of wrap, so two runs that appended the same sequence produce
+ * byte-identical snapshots.
  */
 
 #ifndef RCOAL_SPANS_SPAN_SLAB_HPP
 #define RCOAL_SPANS_SPAN_SLAB_HPP
 
-#include <cstddef>
-#include <vector>
-
+#include "rcoal/common/overwrite_ring.hpp"
 #include "rcoal/spans/span.hpp"
-
-namespace rcoal::common {
-class ArenaReader;
-class ArenaWriter;
-} // namespace rcoal::common
 
 namespace rcoal::spans {
 
-class SpanSlab
-{
-  public:
-    explicit SpanSlab(std::size_t capacity);
-
-    /** Append one record, overwriting the oldest when full. */
-    void append(const SpanRecord &record);
-
-    /** Records currently retained (<= capacity). */
-    std::size_t size() const;
-
-    std::size_t capacity() const { return ring.size(); }
-
-    /** Records ever appended, including overwritten ones. */
-    std::uint64_t totalAppended() const { return appended; }
-
-    /**
-     * Records lost to overwrite-oldest. An explicit counter (not
-     * derived from totalAppended - size) so clear() provably resets
-     * it — the TraceSink drop-accounting audit in this PR exists
-     * because the derived form hides reset bugs.
-     */
-    std::uint64_t dropped() const { return overwritten; }
-
-    /** Retained records, oldest first. */
-    std::vector<SpanRecord> snapshot() const;
-
-    /** Forget everything; capacity is retained. */
-    void clear();
-
-    void saveState(common::ArenaWriter &w) const;
-    void restoreState(common::ArenaReader &r);
-
-  private:
-    std::vector<SpanRecord> ring;
-    std::size_t next = 0;        ///< Ring index of the next write.
-    std::uint64_t appended = 0;  ///< Lifetime append count.
-    std::uint64_t overwritten = 0; ///< Lifetime overwrite-drop count.
-};
+using SpanSlab = common::OverwriteRing<SpanRecord>;
 
 } // namespace rcoal::spans
 

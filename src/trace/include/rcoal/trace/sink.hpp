@@ -2,19 +2,21 @@
  * @file
  * Per-component ring-buffer trace sink.
  *
- * A sink is a fixed-capacity ring: recording never allocates after
- * construction and never blocks the simulation — when the ring is full
- * the oldest events are overwritten (and counted as dropped), keeping
- * the most recent window, which is the part a timeline viewer or a
- * post-mortem wants.
+ * A sink is a named common::OverwriteRing of events: recording never
+ * allocates after construction and never blocks the simulation — when
+ * the ring is full the oldest events are overwritten (and counted as
+ * dropped), keeping the most recent window, which is the part a
+ * timeline viewer or a post-mortem wants.
  */
 
 #ifndef RCOAL_TRACE_SINK_HPP
 #define RCOAL_TRACE_SINK_HPP
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "rcoal/common/overwrite_ring.hpp"
 #include "rcoal/trace/event.hpp"
 
 namespace rcoal::trace {
@@ -27,9 +29,12 @@ enum class ClockDomain
 };
 
 /**
- * One component's event ring.
+ * One component's event ring: size(), capacity(), dropped(),
+ * snapshot() and clear() are the ring's. clear() — and therefore
+ * GpuMachine::reset(), which clears every attached sink — resets the
+ * drop accounting along with the other per-kernel counters.
  */
-class TraceSink
+class TraceSink : public common::OverwriteRing<TraceEvent>
 {
   public:
     /**
@@ -37,23 +42,25 @@ class TraceSink
      * @param domain clock domain of the recorded cycle stamps.
      * @param capacity ring size in events (must be > 0).
      */
-    TraceSink(std::string name, ClockDomain domain, std::size_t capacity);
+    TraceSink(std::string name, ClockDomain domain, std::size_t capacity)
+        : OverwriteRing(capacity),
+          sinkName(std::move(name)),
+          clockDomain(domain)
+    {
+    }
 
     /** Record one event (overwrites the oldest when full). */
     void record(EventKind kind, Cycle cycle, std::uint64_t a,
                 std::uint64_t b, std::uint64_t c)
     {
-        if (recorded >= ring.size())
-            ++overwritten; // The slot still holds a retained event.
-        TraceEvent &slot = ring[next];
-        slot.cycle = cycle;
-        slot.a = a;
-        slot.b = b;
-        slot.c = c;
-        slot.kind = kind;
-        slot.component = componentId;
-        next = next + 1 == ring.size() ? 0 : next + 1;
-        ++recorded;
+        TraceEvent event;
+        event.cycle = cycle;
+        event.a = a;
+        event.b = b;
+        event.c = c;
+        event.kind = kind;
+        event.component = componentId;
+        append(event);
     }
 
     /** Component index stamped on every event this sink records. */
@@ -61,36 +68,13 @@ class TraceSink
 
     const std::string &name() const { return sinkName; }
     ClockDomain domain() const { return clockDomain; }
-    std::size_t capacity() const { return ring.size(); }
-
-    /** Events currently held (min(recorded, capacity)). */
-    std::size_t size() const;
 
     /** Total events ever recorded (including overwritten ones). */
-    std::uint64_t totalRecorded() const { return recorded; }
-
-    /**
-     * Events lost to ring overwrite. Tracked by an explicit counter
-     * (not derived from totalRecorded - size) so clear() — and
-     * therefore GpuMachine::reset(), which clears every attached
-     * sink — provably zeroes drop accounting along with the other
-     * per-kernel counters.
-     */
-    std::uint64_t dropped() const { return overwritten; }
-
-    /** Chronological copy of the retained events (oldest first). */
-    std::vector<TraceEvent> snapshot() const;
-
-    /** Forget everything recorded so far. */
-    void clear();
+    std::uint64_t totalRecorded() const { return totalAppended(); }
 
   private:
     std::string sinkName;
     ClockDomain clockDomain;
-    std::vector<TraceEvent> ring;
-    std::size_t next = 0;        ///< Next write position.
-    std::uint64_t recorded = 0;
-    std::uint64_t overwritten = 0; ///< Events lost to ring overwrite.
     std::uint16_t componentId = 0;
 };
 

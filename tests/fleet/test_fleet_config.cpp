@@ -111,5 +111,15 @@ TEST(FleetConfigDeathTest, RejectsMinReplicasOutsidePool)
                  "minReplicas");
 }
 
+TEST(FleetConfigDeathTest, RejectsWarmBootedReplicas)
+{
+    // Fleet replicas start cold; a warm-boot request must not be
+    // silently ignored.
+    serve::ServeConfig serve = smallServe();
+    serve.warmBootKernels = 2;
+    EXPECT_DEATH(FleetConfig{}.validate(smallGpu(), serve),
+                 "warm boot");
+}
+
 } // namespace
 } // namespace rcoal::fleet

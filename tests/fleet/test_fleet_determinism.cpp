@@ -36,6 +36,7 @@ smallServe()
     serve::ServeConfig cfg;
     cfg.queueCapacity = 16;
     cfg.maxBatchRequests = 2;
+    cfg.maxSimCycles = 20'000'000;
     cfg.smsPerKernel = 2;
     return cfg;
 }
@@ -46,7 +47,6 @@ testFleet(RoutingPolicy routing)
     FleetConfig cfg;
     cfg.numReplicas = 2;
     cfg.routing = routing;
-    cfg.maxSimCycles = 20'000'000;
     return cfg;
 }
 

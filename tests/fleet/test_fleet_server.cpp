@@ -36,6 +36,7 @@ smallServe()
     serve::ServeConfig cfg;
     cfg.queueCapacity = 16;
     cfg.maxBatchRequests = 2;
+    cfg.maxSimCycles = 20'000'000;
     cfg.smsPerKernel = 2; // Two gangs per 4-SM replica.
     return cfg;
 }
@@ -46,7 +47,6 @@ smallFleet(RoutingPolicy routing = RoutingPolicy::RoundRobin)
     FleetConfig cfg;
     cfg.numReplicas = 2;
     cfg.routing = routing;
-    cfg.maxSimCycles = 20'000'000;
     return cfg;
 }
 
@@ -208,9 +208,9 @@ TEST(FleetServerDeathTest, PinningToADrainableReplicaIsRejected)
 
 TEST(FleetServerDeathTest, ImpossibleFleetWorkloadDiesOnLivelockGuard)
 {
-    FleetConfig cfg = smallFleet();
-    cfg.maxSimCycles = 50'000;
-    const FleetServer fleet(smallGpu(), smallServe(), cfg, kKey);
+    serve::ServeConfig serve = smallServe();
+    serve.maxSimCycles = 50'000;
+    const FleetServer fleet(smallGpu(), serve, smallFleet(), kKey);
     FleetWorkloadSpec spec = lightWorkload(4);
     spec.probeThinkCycles = 100'000; // Probes cannot finish in time.
     spec.tenants.tenants = 0;

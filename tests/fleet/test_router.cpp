@@ -11,8 +11,8 @@
 #include <set>
 #include <vector>
 
-#include "rcoal/fleet/replica.hpp"
 #include "rcoal/fleet/router.hpp"
+#include "rcoal/serve/replica.hpp"
 
 namespace rcoal::fleet {
 namespace {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "rcoal/common/thread_pool.hpp"
+#include "rcoal/fleet/fleet.hpp"
 #include "rcoal/serve/server.hpp"
 #include "rcoal/spans/collector.hpp"
 
@@ -105,6 +106,42 @@ TEST(SpanDeterminism, SpanRecordsIdenticalAcrossCycleSkipping)
     const auto without_skip =
         runAndSnapshotSpans(smallGpu(false), smallServe());
     expectSpanRecordsIdentical(with_skip, without_skip);
+}
+
+/** Run one 3-replica JSQ fleet scenario; return its retained records. */
+std::vector<SpanRecord>
+runFleetAndSnapshotSpans(bool cycle_skipping)
+{
+    fleet::FleetConfig cfg;
+    cfg.numReplicas = 3;
+    cfg.routing = fleet::RoutingPolicy::JoinShortestQueue;
+
+    fleet::FleetWorkloadSpec spec;
+    spec.probeSamples = 6;
+    spec.probeLines = 32;
+    spec.probeSeed = 7;
+    spec.probeThinkCycles = 100;
+    spec.tenants.tenants = 3;
+    spec.tenants.baseMeanGapCycles = 4000.0;
+    spec.tenants.lineChoices = {32};
+    spec.tenants.seed = 99;
+
+    SpanCollector collector;
+    fleet::FleetTelemetry hooks;
+    hooks.spans = &collector;
+    const fleet::FleetServer server(smallGpu(cycle_skipping),
+                                    smallServe(), cfg, kKey);
+    (void)server.run(spec, &hooks);
+    EXPECT_GT(collector.slab().totalAppended(), 0u);
+    EXPECT_EQ(collector.liveSpans(), 0u)
+        << "spans leaked past the fleet loop";
+    return collector.slab().snapshot();
+}
+
+TEST(SpanDeterminism, FleetSpanRecordsIdenticalAcrossCycleSkipping)
+{
+    expectSpanRecordsIdentical(runFleetAndSnapshotSpans(true),
+                               runFleetAndSnapshotSpans(false));
 }
 
 TEST(SpanDeterminism, SpanRecordsIdenticalAcrossWorkerThreads)

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "rcoal/common/rng.hpp"
+#include "rcoal/fleet/fleet.hpp"
 #include "rcoal/serve/server.hpp"
 #include "rcoal/sim/gpu_machine.hpp"
 #include "rcoal/telemetry/leakage_auditor.hpp"
@@ -108,6 +109,61 @@ TEST(TelemetryDeterminism, ServeExpositionIdenticalAcrossSkipModes)
 {
     const auto stepped = serveRun(false);
     const auto skipped = serveRun(true);
+    EXPECT_EQ(stepped.first, skipped.first);
+    EXPECT_EQ(stepped.second, skipped.second);
+    const auto lint = lintPrometheus(skipped.first);
+    EXPECT_FALSE(lint.has_value()) << *lint;
+}
+
+/** Exposition + series of one telemetry-attached autoscaled fleet run. */
+std::pair<std::string, std::string>
+fleetRun(bool skipping)
+{
+    sim::GpuConfig gpu = sim::GpuConfig::paperBaseline();
+    gpu.numSms = 4;
+    gpu.seed = 42;
+    gpu.cycleSkipping = skipping;
+
+    serve::ServeConfig serve_cfg;
+    serve_cfg.queueCapacity = 16;
+    serve_cfg.maxBatchRequests = 2;
+    serve_cfg.smsPerKernel = 2;
+
+    fleet::FleetConfig cfg;
+    cfg.numReplicas = 3;
+    cfg.routing = fleet::RoutingPolicy::JoinShortestQueue;
+    cfg.autoscaler.enabled = true;
+    cfg.autoscaler.evalIntervalCycles = 10'000;
+    cfg.autoscaler.queueDepthSlo = 2.0;
+    cfg.autoscaler.scaleDownQueueDepth = 0.25;
+    cfg.autoscaler.cooldownCycles = 0;
+
+    fleet::FleetWorkloadSpec spec;
+    spec.probeSamples = 6;
+    spec.probeLines = 32;
+    spec.probeSeed = 7;
+    spec.probeThinkCycles = 100;
+    spec.tenants.tenants = 3;
+    spec.tenants.baseMeanGapCycles = 2500.0;
+    spec.tenants.lineChoices = {32};
+    spec.tenants.seed = 99;
+
+    MetricRegistry registry;
+    TelemetrySampler sampler(registry, /*interval_cycles=*/1000);
+    FleetLeakageAuditor auditor(registry, LeakageAuditor::Config{},
+                                cfg.numReplicas);
+    const fleet::FleetTelemetry telemetry{&sampler, &auditor};
+
+    const fleet::FleetServer server(gpu, serve_cfg, cfg, kKey);
+    (void)server.run(spec, &telemetry);
+    EXPECT_GT(sampler.samplesTaken(), 0u);
+    return {renderPrometheus(registry), sampler.seriesJson()};
+}
+
+TEST(TelemetryDeterminism, FleetExpositionIdenticalAcrossSkipModes)
+{
+    const auto stepped = fleetRun(false);
+    const auto skipped = fleetRun(true);
     EXPECT_EQ(stepped.first, skipped.first);
     EXPECT_EQ(stepped.second, skipped.second);
     const auto lint = lintPrometheus(skipped.first);
