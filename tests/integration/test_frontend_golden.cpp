@@ -27,6 +27,7 @@
 #include "rcoal/telemetry/registry.hpp"
 #include "rcoal/telemetry/sampler.hpp"
 #include "rcoal/trace/tracer.hpp"
+#include "support/fnv.hpp"
 
 namespace rcoal {
 namespace {
@@ -35,30 +36,7 @@ const std::array<std::uint8_t, 16> kKey = {
     0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
     0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
 
-/** FNV-1a 64; doubles enter by bit pattern. */
-class Fnv
-{
-  public:
-    void bytes(const void *data, std::size_t size)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < size; ++i) {
-            state ^= p[i];
-            state *= 0x100000001b3ull;
-        }
-    }
-    void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-    void f64(double v) { bytes(&v, sizeof v); }
-    void str(const std::string &s)
-    {
-        u64(s.size());
-        bytes(s.data(), s.size());
-    }
-    std::uint64_t value() const { return state; }
-
-  private:
-    std::uint64_t state = 0xcbf29ce484222325ull;
-};
+using test::Fnv;
 
 /** One run's digests, one per observable. */
 struct Digests
