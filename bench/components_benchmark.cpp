@@ -1,9 +1,10 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the core components: coalescer,
- * partition sampling, T-table AES, DRAM model, attack estimation, a
- * full 32-line kernel launch, and GpuMachine tick throughput (idle /
- * PRT-saturated / DRAM-saturated, with and without cycle skipping).
+ * google-benchmark microbenchmarks of the core components: coalescer
+ * (random and AES T-table lanes), partition sampling, T-table AES, DRAM
+ * model, attack estimation and full key recovery, a full 32-line kernel
+ * launch, and GpuMachine tick throughput (idle / PRT-saturated /
+ * DRAM-saturated, with and without cycle skipping).
  */
 
 #include <benchmark/benchmark.h>
@@ -26,6 +27,7 @@ namespace {
 
 using namespace rcoal;
 
+/** 32 lanes over 16 random 64-byte blocks. */
 std::vector<core::LaneRequest>
 randomLanes(Rng &rng)
 {
@@ -35,15 +37,46 @@ randomLanes(Rng &rng)
     return lanes;
 }
 
+/**
+ * AES last-round lookups: each lane reads a random 4-byte entry of the
+ * 1 KiB T4 table, as the AES kernel's warps do.
+ */
+std::vector<core::LaneRequest>
+tTableLanes(Rng &rng)
+{
+    std::vector<core::LaneRequest> lanes(32);
+    for (ThreadId t = 0; t < 32; ++t)
+        lanes[t] = {t, 0x1c00 + rng.below(256) * 4, 4, true};
+    return lanes;
+}
+
+/** coalesceInto() into one reused output vector, as the SM calls it. */
+void
+coalesceLoop(benchmark::State &state,
+             const std::vector<core::LaneRequest> &lanes,
+             const core::SubwarpPartition &partition)
+{
+    const core::Coalescer coalescer(64);
+    std::vector<core::CoalescedAccess> out;
+    for (auto _ : state) {
+        coalescer.coalesceInto(lanes, partition, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+}
+
+core::SubwarpPartition
+rssRts8Partition(Rng &rng)
+{
+    return core::SubwarpPartitioner(core::CoalescingPolicy::rss(8, true), 32)
+        .draw(rng);
+}
+
 void
 BM_CoalesceBaseline(benchmark::State &state)
 {
     Rng rng(1);
-    const core::Coalescer coalescer(64);
-    const auto lanes = randomLanes(rng);
-    const auto partition = core::SubwarpPartition::single(32);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(coalescer.coalesce(lanes, partition));
+    coalesceLoop(state, randomLanes(rng), core::SubwarpPartition::single(32));
 }
 BENCHMARK(BM_CoalesceBaseline);
 
@@ -51,15 +84,27 @@ void
 BM_CoalesceRssRts8(benchmark::State &state)
 {
     Rng rng(2);
-    const core::Coalescer coalescer(64);
     const auto lanes = randomLanes(rng);
-    core::SubwarpPartitioner partitioner(
-        core::CoalescingPolicy::rss(8, true), 32);
-    const auto partition = partitioner.draw(rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(coalescer.coalesce(lanes, partition));
+    coalesceLoop(state, lanes, rssRts8Partition(rng));
 }
 BENCHMARK(BM_CoalesceRssRts8);
+
+void
+BM_CoalesceTTableBaseline(benchmark::State &state)
+{
+    Rng rng(1);
+    coalesceLoop(state, tTableLanes(rng), core::SubwarpPartition::single(32));
+}
+BENCHMARK(BM_CoalesceTTableBaseline);
+
+void
+BM_CoalesceTTableRssRts8(benchmark::State &state)
+{
+    Rng rng(2);
+    const auto lanes = tTableLanes(rng);
+    coalesceLoop(state, lanes, rssRts8Partition(rng));
+}
+BENCHMARK(BM_CoalesceTTableRssRts8);
 
 void
 BM_PartitionDraw(benchmark::State &state)
@@ -140,6 +185,34 @@ BM_AttackEstimate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AttackEstimate);
+
+/**
+ * Full defense-aware key recovery: attackKey over 150 synthetic 32-line
+ * observations assuming RSS+RTS(M=8), i.e. 16 x 256 x 150 partition
+ * draws and estimates plus 4096 correlations per iteration.
+ */
+void
+BM_AttackKeyRssRts8(benchmark::State &state)
+{
+    attack::AttackConfig cfg;
+    cfg.assumedPolicy = core::CoalescingPolicy::rss(8, true);
+    const attack::CorrelationAttack attacker(cfg);
+    Rng data_rng(7);
+    std::vector<attack::EncryptionObservation> observations(150);
+    for (auto &obs : observations) {
+        obs.ciphertext.resize(32);
+        for (auto &line : obs.ciphertext) {
+            for (auto &b : line)
+                b = static_cast<std::uint8_t>(data_rng.below(256));
+        }
+        obs.lastRoundTime = data_rng.normal(400.0, 25.0);
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            attacker.attackKey(observations, aes::Block{}));
+    }
+}
+BENCHMARK(BM_AttackKeyRssRts8)->Unit(benchmark::kMillisecond);
 
 /**
  * Simulated core cycles per wall second on an idle machine: the floor

@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace rcoal::aes {
 
@@ -65,12 +64,19 @@ class KeySchedule
     Block roundKey(unsigned round) const;
 
     /** Raw schedule words w[0 .. 4*(Nr+1)-1], big-endian packed. */
-    const std::vector<std::uint32_t> &words() const { return w; }
+    std::span<const std::uint32_t> words() const
+    {
+        return {w.data(), numWords};
+    }
 
   private:
+    /** Most schedule words of any key size: 4 * (14 + 1) for AES-256. */
+    static constexpr unsigned kMaxWords = 60;
+
     KeySize size;
     unsigned nr;
-    std::vector<std::uint32_t> w;
+    unsigned numWords;
+    std::array<std::uint32_t, kMaxWords> w{};
 };
 
 /**

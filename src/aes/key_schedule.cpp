@@ -19,12 +19,12 @@ rotWord(std::uint32_t w)
 }
 
 std::uint32_t
-subWord(std::uint32_t w)
+subWord(std::uint32_t w, const std::array<std::uint8_t, 256> &sb)
 {
-    return (static_cast<std::uint32_t>(subByte(w >> 24)) << 24) |
-           (static_cast<std::uint32_t>(subByte((w >> 16) & 0xff)) << 16) |
-           (static_cast<std::uint32_t>(subByte((w >> 8) & 0xff)) << 8) |
-           static_cast<std::uint32_t>(subByte(w & 0xff));
+    return (static_cast<std::uint32_t>(sb[w >> 24]) << 24) |
+           (static_cast<std::uint32_t>(sb[(w >> 16) & 0xff]) << 16) |
+           (static_cast<std::uint32_t>(sb[(w >> 8) & 0xff]) << 8) |
+           static_cast<std::uint32_t>(sb[w & 0xff]);
 }
 
 /** Round constants Rcon[1..10] in the high byte. */
@@ -78,28 +78,32 @@ keySizeForLength(std::size_t bytes)
 }
 
 KeySchedule::KeySchedule(std::span<const std::uint8_t> key, KeySize key_size)
-    : size(key_size), nr(numRounds(key_size))
+    : size(key_size), nr(numRounds(key_size)), numWords(4 * (nr + 1))
 {
     const unsigned nk = keyWords(size);
     RCOAL_ASSERT(key.size() == keyBytes(size),
                  "AES key must be %u bytes, got %zu", keyBytes(size),
                  key.size());
 
-    const unsigned total = 4 * (nr + 1);
-    w.resize(total);
     for (unsigned i = 0; i < nk; ++i) {
         w[i] = (static_cast<std::uint32_t>(key[4 * i]) << 24) |
                (static_cast<std::uint32_t>(key[4 * i + 1]) << 16) |
                (static_cast<std::uint32_t>(key[4 * i + 2]) << 8) |
                static_cast<std::uint32_t>(key[4 * i + 3]);
     }
-    for (unsigned i = nk; i < total; ++i) {
+    // Step i mod Nk and i / Nk with counters rather than dividing.
+    const auto &sb = sbox();
+    unsigned pos = 0;   // i mod nk
+    unsigned rcon = 1;  // i / nk while pos == 0
+    for (unsigned i = nk; i < numWords; ++i) {
         std::uint32_t temp = w[i - 1];
-        if (i % nk == 0)
-            temp = subWord(rotWord(temp)) ^ kRcon[i / nk];
-        else if (nk > 6 && i % nk == 4)
-            temp = subWord(temp);
+        if (pos == 0)
+            temp = subWord(rotWord(temp), sb) ^ kRcon[rcon++];
+        else if (nk > 6 && pos == 4)
+            temp = subWord(temp, sb);
         w[i] = w[i - nk] ^ temp;
+        if (++pos == nk)
+            pos = 0;
     }
 }
 
@@ -131,10 +135,11 @@ invertFromLastRoundKey(const Block &last_round_key)
             (static_cast<std::uint32_t>(last_round_key[4 * c + 2]) << 8) |
             static_cast<std::uint32_t>(last_round_key[4 * c + 3]);
     }
+    const auto &sb = sbox();
     for (unsigned i = 43; i >= 4; --i) {
         std::uint32_t temp = w[i - 1];
         if (i % 4 == 0)
-            temp = subWord(rotWord(temp)) ^ kRcon[i / 4];
+            temp = subWord(rotWord(temp), sb) ^ kRcon[i / 4];
         w[i - 4] = w[i] ^ temp;
     }
 

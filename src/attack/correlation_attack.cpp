@@ -25,6 +25,9 @@ CorrelationAttack::CorrelationAttack(AttackConfig attack_config)
                  "need at least one draw per estimate");
     RCOAL_ASSERT(256 / cfg.elementsPerBlock <= 64,
                  "more than 64 memory blocks per table is unsupported");
+    // The partitioner above rejects warps wider than kMaxThreads, so
+    // every partition estimateLastRoundAccesses() sees has at most
+    // kMaxThreads subwarps: its per-subwarp mask array cannot overflow.
     if (!cfg.assumedPolicy.isRandomized()) {
         // Deterministic models (baseline, plain FSS) always produce the
         // same partition; draw it once.
@@ -39,50 +42,46 @@ CorrelationAttack::estimateLastRoundAccesses(
     std::uint8_t guess, Rng &rng) const
 {
     RCOAL_ASSERT(j < 16, "key byte index %u out of range", j);
-    const unsigned lines =
-        static_cast<unsigned>(ciphertext_lines.size());
-    const unsigned n = cfg.warpSize;
+    const std::size_t lines = ciphertext_lines.size();
     const auto &inv_sbox = aes::invSbox();
+    const auto shift =
+        static_cast<unsigned>(std::countr_zero(cfg.elementsPerBlock));
 
-    // Memory block of each line's T4 lookup index (Eq. 3): the attacker
-    // only needs the block, elementsPerBlock consecutive elements share
-    // one (>> 4 for the paper's 16-element blocks).
-    const unsigned shift = static_cast<unsigned>(
-        std::countr_zero(cfg.elementsPerBlock));
-    std::vector<std::uint8_t> block_of_line(lines);
-    for (unsigned line = 0; line < lines; ++line) {
-        const std::uint8_t c = ciphertext_lines[line][j];
-        block_of_line[line] = static_cast<std::uint8_t>(
-            inv_sbox[c ^ guess] >> shift);
-    }
-
-    double total = 0.0;
-    for (unsigned draw = 0; draw < cfg.drawsPerEstimate; ++draw) {
+    // Coalesced accesses of one warp under @p partition: the number of
+    // distinct (subwarp, memory block) pairs its lanes touch, counted
+    // as the lanes set one bit per block in their subwarp's mask. A
+    // line's block is its T4 lookup index (Eq. 3) >> shift, since
+    // elementsPerBlock consecutive elements share one; 256 /
+    // elementsPerBlock <= 64 blocks fit a 64-bit mask.
+    const auto warp_accesses = [&](const core::SubwarpPartition &partition,
+                                   std::span<const aes::Block> warp) {
+        const std::span<const SubwarpId> sid = partition.sidOfThread();
+        std::array<std::uint64_t, core::SubwarpPartition::kMaxThreads>
+            mask{};
         std::uint64_t accesses = 0;
-        for (unsigned warp_first = 0; warp_first < lines;
-             warp_first += n) {
-            const unsigned lanes = std::min(n, lines - warp_first);
-            std::optional<core::SubwarpPartition> drawn;
-            if (!fixedPartition)
-                drawn = partitioner.draw(rng);
-            const core::SubwarpPartition &partition =
-                fixedPartition ? *fixedPartition : *drawn;
-            // One bit per memory block per subwarp; 256 /
-            // elementsPerBlock <= 64 blocks fit a 64-bit mask.
-            std::array<std::uint64_t, 32> mask{};
-            RCOAL_ASSERT(partition.numSubwarps() <= mask.size(),
-                         "too many subwarps for the mask array");
-            for (unsigned t = 0; t < lanes; ++t) {
-                const SubwarpId sid = partition.subwarpOf(t);
-                mask[sid] |= std::uint64_t{1}
-                             << block_of_line[warp_first + t];
-            }
-            for (unsigned s = 0; s < partition.numSubwarps(); ++s)
-                accesses += std::popcount(mask[s]);
+        for (std::size_t t = 0; t < warp.size(); ++t) {
+            const std::uint64_t block = std::uint64_t{1}
+                                        << (inv_sbox[warp[t][j] ^ guess] >>
+                                            shift);
+            accesses += (mask[sid[t]] & block) == 0;
+            mask[sid[t]] |= block;
         }
-        total += static_cast<double>(accesses);
+        return accesses;
+    };
+
+    std::uint64_t accesses = 0;
+    for (unsigned draw = 0; draw < cfg.drawsPerEstimate; ++draw) {
+        for (std::size_t first = 0; first < lines; first += cfg.warpSize) {
+            const auto warp = ciphertext_lines.subspan(
+                first, std::min<std::size_t>(cfg.warpSize, lines - first));
+            accesses += fixedPartition
+                            ? warp_accesses(*fixedPartition, warp)
+                            : warp_accesses(partitioner.draw(rng), warp);
+        }
     }
-    return total / cfg.drawsPerEstimate;
+    // Integer counts sum exactly, so this equals the mean of the
+    // per-draw estimates.
+    return static_cast<double>(accesses) / cfg.drawsPerEstimate;
 }
 
 double
@@ -96,8 +95,9 @@ CorrelationAttack::guessCorrelation(
     // task independent of scheduling, so serial and pooled recovery
     // produce identical correlation tables.
     Rng rng = Rng::stream(cfg.seed, j * 256ull + m);
-    std::vector<double> estimated;
-    estimated.reserve(observations.size());
+    // One buffer per worker thread, refilled by every task it runs.
+    thread_local std::vector<double> estimated;
+    estimated.clear();
     for (const auto &obs : observations) {
         estimated.push_back(estimateLastRoundAccesses(
             obs.ciphertext, j, static_cast<std::uint8_t>(m), rng));

@@ -36,7 +36,7 @@ struct AttackConfig
     /** The attacker's model of the deployed coalescing mechanism. */
     core::CoalescingPolicy assumedPolicy{};
 
-    /** Threads per warp (N). */
+    /** Threads per warp (N); at most core::SubwarpPartition::kMaxThreads. */
     unsigned warpSize = 32;
 
     /** Table elements per memory block (R = 256/elementsPerBlock^-1). */

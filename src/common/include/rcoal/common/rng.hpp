@@ -14,8 +14,13 @@
 #define RCOAL_COMMON_RNG_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <iterator>
+#include <ranges>
 #include <vector>
+
+#include "rcoal/common/logging.hpp"
 
 namespace rcoal {
 
@@ -81,10 +86,34 @@ class Rng
     result_type operator()() { return next64(); }
 
     /** Next raw 64-bit value. */
-    std::uint64_t next64();
+    std::uint64_t
+    next64()
+    {
+        const std::uint64_t result = std::rotl(state[1] * 5, 7) * 9;
+        const std::uint64_t t = state[1] << 17;
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = std::rotl(state[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound), bias-free; bound must be > 0. */
-    std::uint64_t below(std::uint64_t bound);
+    std::uint64_t
+    below(std::uint64_t bound)
+    {
+        RCOAL_ASSERT(bound > 0, "below() requires a positive bound");
+        // Rejection sampling to remove modulo bias: accept r iff
+        // r >= (2^64 - bound) % bound. That threshold is below bound,
+        // so any r >= bound is accepted without computing it.
+        for (;;) {
+            const std::uint64_t r = next64();
+            if (r >= bound || r >= (~bound + 1) % bound)
+                return r % bound;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive; requires lo <= hi. */
     std::int64_t range(std::int64_t lo, std::int64_t hi);
@@ -98,23 +127,30 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool chance(double p);
 
-    /** Fisher-Yates shuffle of a vector (deterministic given the state). */
-    template <typename T>
+    /**
+     * Fisher-Yates shuffle of a random-access range (a vector, array or
+     * span; deterministic given the state).
+     */
+    template <std::ranges::random_access_range R>
     void
-    shuffle(std::vector<T> &v)
+    shuffle(R &&v)
     {
-        for (std::size_t i = v.size(); i > 1; --i) {
+        const auto first = std::ranges::begin(v);
+        for (std::size_t i = std::ranges::size(v); i > 1; --i) {
             const std::size_t j = below(i);
-            std::swap(v[i - 1], v[j]);
+            std::ranges::iter_swap(first + (i - 1), first + j);
         }
     }
 
     /**
-     * Sample @p k distinct values from [0, n) in increasing order
-     * (Floyd's algorithm followed by a sort). Requires k <= n.
+     * A uniformly random @p k-subset of [0, n) as a bitmask (bit v set
+     * iff v was chosen), by Floyd's algorithm: k below() calls, no
+     * storage. Requires k <= n <= 64.
      */
-    std::vector<std::uint64_t> sampleDistinctSorted(std::uint64_t k,
-                                                    std::uint64_t n);
+    std::uint64_t sampleDistinctBits(unsigned k, unsigned n);
+
+    /** The subset sampleDistinctBits(k, n) draws, in increasing order. */
+    std::vector<std::uint64_t> sampleDistinctSorted(unsigned k, unsigned n);
 
   private:
     std::array<std::uint64_t, 4> state;

@@ -7,22 +7,12 @@
 
 #include "rcoal/common/rng.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "rcoal/common/logging.hpp"
 
 namespace rcoal {
-
-namespace {
-
-inline std::uint64_t
-rotl64(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
 
 std::uint64_t
 SplitMix64::next()
@@ -66,33 +56,6 @@ Rng::stream(std::uint64_t root_seed, std::uint64_t stream_index)
     return Rng(deriveSeed(root_seed, stream_index));
 }
 
-std::uint64_t
-Rng::next64()
-{
-    const std::uint64_t result = rotl64(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl64(state[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
-{
-    RCOAL_ASSERT(bound > 0, "below() requires a positive bound");
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t threshold = (~bound + 1) % bound; // (2^64 - bound) % bound
-    for (;;) {
-        const std::uint64_t r = next64();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
 std::int64_t
 Rng::range(std::int64_t lo, std::int64_t hi)
 {
@@ -131,24 +94,30 @@ Rng::chance(double p)
     return uniform01() < p;
 }
 
-std::vector<std::uint64_t>
-Rng::sampleDistinctSorted(std::uint64_t k, std::uint64_t n)
+std::uint64_t
+Rng::sampleDistinctBits(unsigned k, unsigned n)
 {
-    RCOAL_ASSERT(k <= n, "cannot sample %llu distinct values from %llu",
-                 static_cast<unsigned long long>(k),
-                 static_cast<unsigned long long>(n));
-    // Floyd's algorithm: O(k) expected insertions.
-    std::vector<std::uint64_t> chosen;
-    chosen.reserve(k);
-    for (std::uint64_t j = n - k; j < n; ++j) {
+    RCOAL_ASSERT(k <= n && n <= 64,
+                 "cannot sample %u distinct values from %u (max 64)", k, n);
+    // Floyd: for j = n-k .. n-1 take t = below(j + 1), or j itself when
+    // t is already chosen (j cannot be: every earlier pick is < j).
+    std::uint64_t chosen = 0;
+    for (unsigned j = n - k; j < n; ++j) {
         const std::uint64_t t = below(j + 1);
-        if (std::find(chosen.begin(), chosen.end(), t) == chosen.end())
-            chosen.push_back(t);
-        else
-            chosen.push_back(j);
+        chosen |= std::uint64_t{1} << ((chosen >> t) & 1 ? j : t);
     }
-    std::sort(chosen.begin(), chosen.end());
     return chosen;
+}
+
+std::vector<std::uint64_t>
+Rng::sampleDistinctSorted(unsigned k, unsigned n)
+{
+    std::vector<std::uint64_t> out;
+    out.reserve(k);
+    for (std::uint64_t bits = sampleDistinctBits(k, n); bits != 0;
+         bits &= bits - 1)
+        out.push_back(static_cast<std::uint64_t>(std::countr_zero(bits)));
+    return out;
 }
 
 } // namespace rcoal

@@ -33,9 +33,10 @@ struct LaneRequest
 
 /**
  * Fixed-capacity inline lane list. A coalesced access serves at most
- * one lane per warp thread, and the simulator caps the warp size at
- * this capacity (GpuConfig::validate(), mirroring PrtIndexList), so
- * the coalescing hot path never touches the heap.
+ * one lane per warp thread, and a warp holds at most kCapacity threads
+ * (a static_assert in GpuConfig::validate() ties kCapacity to
+ * SubwarpPartition::kMaxThreads and PrtIndexList::kCapacity), so the
+ * coalescing hot path never touches the heap.
  */
 struct LaneList
 {
@@ -101,7 +102,11 @@ class Coalescer
                       const SubwarpPartition &partition,
                       std::vector<CoalescedAccess> &out) const;
 
-    /** Count-only variant (faster; used by attack-side modeling). */
+    /**
+     * Number of accesses coalesceInto() would emit, through the same
+     * dedup and without building the lists (the serve scheduler's
+     * per-launch baseline prediction for the leakage auditor).
+     */
     unsigned countAccesses(std::span<const LaneRequest> requests,
                            const SubwarpPartition &partition) const;
 
@@ -115,6 +120,7 @@ class Coalescer
                       std::vector<CoalescedAccess> &out) const;
 
     std::uint32_t blockBytes;
+    unsigned blockShift; ///< log2(blockBytes).
 };
 
 } // namespace rcoal::core

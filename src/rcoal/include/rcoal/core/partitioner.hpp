@@ -5,13 +5,14 @@
  * The partitioner turns a CoalescingPolicy into concrete SubwarpPartition
  * draws. Per Section IV-D of the paper, the hardware fixes the sid<->tid
  * mapping once at the beginning of an application execution (a kernel
- * launch), so the simulator calls draw() once per warp per launch.
+ * launch), so the simulator calls draw() once per warp per launch. The
+ * defense-aware attacker calls it once per (guess, plaintext, warp).
  */
 
 #ifndef RCOAL_CORE_PARTITIONER_HPP
 #define RCOAL_CORE_PARTITIONER_HPP
 
-#include <vector>
+#include <cstdint>
 
 #include "rcoal/common/rng.hpp"
 #include "rcoal/core/policy.hpp"
@@ -25,7 +26,10 @@ namespace rcoal::core {
 class SubwarpPartitioner
 {
   public:
-    /** @p warp_size is N (32 in the paper's configuration). */
+    /**
+     * @p warp_size is N (32 in the paper's configuration); at most
+     * SubwarpPartition::kMaxThreads.
+     */
     SubwarpPartitioner(CoalescingPolicy policy, unsigned warp_size);
 
     /** The policy being realized. */
@@ -37,30 +41,26 @@ class SubwarpPartitioner
     /**
      * Draw a partition. Deterministic policies (Baseline, Disabled, FSS
      * without RTS) ignore the RNG and always return the same partition.
+     *
+     * Allocation-free, and the RNG call order is part of the contract
+     * (pinned by the PartitionerGolden digests): RSS sizing first —
+     * skewed: one Floyd sample of M-1 cut points among the N-1 thread
+     * gaps; normal: M Normal(N/M, sigma) variates, then below(M) per
+     * rebalancing step — then, under RTS, one Fisher-Yates shuffle of
+     * the N in-order sids.
      */
     SubwarpPartition draw(Rng &rng) const;
 
-    /**
-     * FSS subwarp sizes: N/M each; when M does not divide N the first
-     * N mod M subwarps get one extra thread.
-     */
-    std::vector<unsigned> fixedSizes() const;
-
-    /**
-     * Sample skewed RSS sizes: uniform over all compositions of N into
-     * M positive parts (Section V-B3), via M-1 distinct cut points.
-     */
-    std::vector<unsigned> sampleSkewedSizes(Rng &rng) const;
-
-    /**
-     * Sample "normal" RSS sizes: iid Normal(N/M, sigma) rounded to
-     * integers, clamped to >= 1, then rebalanced to sum exactly N.
-     */
-    std::vector<unsigned> sampleNormalSizes(Rng &rng) const;
-
   private:
-    SubwarpPartition partitionFromSizes(std::vector<unsigned> sizes,
-                                        Rng &rng) const;
+    /**
+     * Subwarp boundaries of the next in-order draw: bit t is set when
+     * thread t is the last of its subwarp (t < N - 1). FSS gives N/M
+     * threads each (the first N mod M get one extra); skewed RSS is
+     * uniform over all compositions of N into M positive parts
+     * (Section V-B3); normal RSS rounds iid Normal(N/M, sigma) to
+     * integers >= 1 and rebalances them to sum to N.
+     */
+    std::uint64_t sampleBoundaries(Rng &rng) const;
 
     CoalescingPolicy pol;
     unsigned n;

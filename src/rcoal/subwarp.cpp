@@ -5,42 +5,62 @@
 
 #include "rcoal/core/subwarp.hpp"
 
-#include <array>
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <numeric>
 
 #include "rcoal/common/logging.hpp"
 
 namespace rcoal::core {
 
-SubwarpPartition::SubwarpPartition(std::vector<SubwarpId> sid_of_thread,
-                                   unsigned num_subwarps)
-    : sid(std::move(sid_of_thread)), m(num_subwarps)
+namespace {
+
+void
+requireCapacity(std::size_t threads)
 {
+    RCOAL_ASSERT(threads <= SubwarpPartition::kMaxThreads,
+                 "partition of %zu threads exceeds the inline capacity %u",
+                 threads, SubwarpPartition::kMaxThreads);
+}
+
+} // namespace
+
+SubwarpPartition::SubwarpPartition(std::span<const SubwarpId> sid_of_thread,
+                                   unsigned num_subwarps)
+    : n(static_cast<unsigned>(sid_of_thread.size())), m(num_subwarps)
+{
+    requireCapacity(sid_of_thread.size());
+    std::copy(sid_of_thread.begin(), sid_of_thread.end(), sid.begin());
     validate();
 }
 
 SubwarpPartition
 SubwarpPartition::single(unsigned warp_size)
 {
-    return {std::vector<SubwarpId>(warp_size, 0), 1};
+    requireCapacity(warp_size);
+    const std::array<SubwarpId, kMaxThreads> zeros{};
+    return {std::span(zeros).first(warp_size), 1};
 }
 
 SubwarpPartition
 SubwarpPartition::fromSizes(const std::vector<unsigned> &sizes)
 {
-    std::vector<SubwarpId> sid;
+    std::array<SubwarpId, kMaxThreads> sids{};
+    std::size_t threads = 0;
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-        for (unsigned i = 0; i < sizes[s]; ++i)
-            sid.push_back(static_cast<SubwarpId>(s));
+        requireCapacity(threads + sizes[s]);
+        std::fill_n(sids.begin() + threads, sizes[s],
+                    static_cast<SubwarpId>(s));
+        threads += sizes[s];
     }
-    return {std::move(sid), static_cast<unsigned>(sizes.size())};
+    return {std::span(sids).first(threads),
+            static_cast<unsigned>(sizes.size())};
 }
 
 SubwarpId
 SubwarpPartition::subwarpOf(ThreadId tid) const
 {
-    RCOAL_ASSERT(tid < sid.size(), "tid %u out of range", tid);
+    RCOAL_ASSERT(tid < n, "tid %u out of range", tid);
     return sid[tid];
 }
 
@@ -48,7 +68,7 @@ std::vector<ThreadId>
 SubwarpPartition::threadsOf(SubwarpId s) const
 {
     std::vector<ThreadId> out;
-    for (ThreadId tid = 0; tid < sid.size(); ++tid) {
+    for (ThreadId tid = 0; tid < n; ++tid) {
         if (sid[tid] == s)
             out.push_back(tid);
     }
@@ -59,7 +79,7 @@ std::vector<unsigned>
 SubwarpPartition::sizes() const
 {
     std::vector<unsigned> out(m, 0);
-    for (SubwarpId s : sid)
+    for (SubwarpId s : sidOfThread())
         ++out[s];
     return out;
 }
@@ -67,41 +87,25 @@ SubwarpPartition::sizes() const
 bool
 SubwarpPartition::isInOrder() const
 {
-    for (std::size_t i = 1; i < sid.size(); ++i) {
-        if (sid[i] < sid[i - 1])
-            return false;
-    }
-    return true;
+    return std::is_sorted(sid.begin(), sid.begin() + n);
 }
 
 void
 SubwarpPartition::validate() const
 {
-    RCOAL_ASSERT(!sid.empty(), "empty partition");
-    RCOAL_ASSERT(m >= 1 && m <= sid.size(),
-                 "numSubwarps %u invalid for warp of %zu threads", m,
-                 sid.size());
-    // Constructed on the simulator's hot path: track non-emptiness with
-    // a stack bitmask for the common (m <= 128) case.
-    if (m <= 128) {
-        std::array<std::uint64_t, 2> seen{};
-        for (SubwarpId s : sid) {
-            RCOAL_ASSERT(s < m, "sid %u out of range (M=%u)", s, m);
-            seen[s >> 6] |= std::uint64_t{1} << (s & 63);
-        }
-        for (unsigned s = 0; s < m; ++s) {
-            RCOAL_ASSERT(seen[s >> 6] & (std::uint64_t{1} << (s & 63)),
-                         "subwarp %u is empty", s);
-        }
-        return;
-    }
-    std::vector<unsigned> count(m, 0);
-    for (SubwarpId s : sid) {
+    RCOAL_ASSERT(n > 0, "empty partition");
+    RCOAL_ASSERT(m >= 1 && m <= n,
+                 "numSubwarps %u invalid for warp of %u threads", m, n);
+    // Constructed on the simulator's and the attacker's hot paths:
+    // m <= n <= 32 subwarps, so one 64-bit mask tracks non-emptiness.
+    std::uint64_t seen = 0;
+    for (SubwarpId s : sidOfThread()) {
         RCOAL_ASSERT(s < m, "sid %u out of range (M=%u)", s, m);
-        ++count[s];
+        seen |= std::uint64_t{1} << s;
     }
-    for (unsigned s = 0; s < m; ++s)
-        RCOAL_ASSERT(count[s] > 0, "subwarp %u is empty", s);
+    RCOAL_ASSERT(seen == (std::uint64_t{1} << m) - 1,
+                 "subwarp %u is empty",
+                 static_cast<unsigned>(std::countr_one(seen)));
 }
 
 } // namespace rcoal::core

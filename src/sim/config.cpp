@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "rcoal/common/logging.hpp"
+#include "rcoal/core/coalescer.hpp"
 #include "rcoal/sim/memory_access.hpp"
 
 namespace rcoal::sim {
@@ -107,6 +108,12 @@ GpuConfig::validate() const
         fatal("clock frequencies must be positive");
     if (prtEntries < warpSize)
         fatal("PRT must hold at least one entry per warp lane");
+    // One warp-size bound for the PRT index list, the inline sids of
+    // every drawn subwarp partition and each coalesced access's lanes.
+    static_assert(PrtIndexList::kCapacity ==
+                      core::SubwarpPartition::kMaxThreads &&
+                  core::LaneList::kCapacity ==
+                      core::SubwarpPartition::kMaxThreads);
     if (warpSize > PrtIndexList::kCapacity) {
         fatal("warpSize %u exceeds the inline PRT index capacity %zu "
               "(raise PrtIndexList::kCapacity)",

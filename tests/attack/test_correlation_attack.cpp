@@ -240,5 +240,15 @@ TEST(CorrelationAttackDeathTest, RejectsBadElementsPerBlock)
     EXPECT_DEATH(CorrelationAttack{tiny}, "64");
 }
 
+TEST(CorrelationAttackDeathTest, RejectsWarpWiderThanPartitionCapacity)
+{
+    // Matches GpuConfig::validate: the per-subwarp access masks hold at
+    // most SubwarpPartition::kMaxThreads subwarps.
+    AttackConfig cfg;
+    cfg.assumedPolicy = core::CoalescingPolicy::rss(8, true);
+    cfg.warpSize = 64;
+    EXPECT_DEATH(CorrelationAttack{cfg}, "exceeds the inline partition");
+}
+
 } // namespace
 } // namespace rcoal::attack

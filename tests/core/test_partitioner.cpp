@@ -40,13 +40,15 @@ TEST(Partitioner, DisabledIsOneThreadPerSubwarp)
 TEST(Partitioner, FssSizesEvenSplit)
 {
     SubwarpPartitioner p(CoalescingPolicy::fss(8), 32);
-    EXPECT_EQ(p.fixedSizes(), std::vector<unsigned>(8, 4));
+    Rng rng(0);
+    EXPECT_EQ(p.draw(rng).sizes(), std::vector<unsigned>(8, 4));
 }
 
 TEST(Partitioner, FssSizesWithRemainder)
 {
     SubwarpPartitioner p(CoalescingPolicy::fss(5), 32);
-    const auto sizes = p.fixedSizes();
+    Rng rng(0);
+    const auto sizes = p.draw(rng).sizes();
     // 32 = 7+7+6+6+6.
     EXPECT_EQ(sizes, (std::vector<unsigned>{7, 7, 6, 6, 6}));
     EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), 0u), 32u);
@@ -100,7 +102,7 @@ TEST(Partitioner, SkewedSizesFormValidCompositions)
     SubwarpPartitioner p(CoalescingPolicy::rss(4), 32);
     Rng rng(6);
     for (int trial = 0; trial < 500; ++trial) {
-        const auto sizes = p.sampleSkewedSizes(rng);
+        const auto sizes = p.draw(rng).sizes();
         ASSERT_EQ(sizes.size(), 4u);
         unsigned sum = 0;
         for (unsigned s : sizes) {
@@ -119,7 +121,7 @@ TEST(Partitioner, SkewedSizesAreUniformOverCompositions)
     std::map<std::vector<unsigned>, int> counts;
     constexpr int kDraws = 40000;
     for (int i = 0; i < kDraws; ++i)
-        ++counts[p.sampleSkewedSizes(rng)];
+        ++counts[p.draw(rng).sizes()];
     EXPECT_EQ(counts.size(), 4u);
     for (const auto &[sizes, count] : counts)
         EXPECT_NEAR(count, kDraws / 4.0, kDraws / 4.0 * 0.07);
@@ -133,7 +135,7 @@ TEST(Partitioner, SkewedSizesProduceFullSizeRange)
     Rng rng(8);
     unsigned max_seen = 0;
     for (int i = 0; i < 5000; ++i) {
-        for (unsigned s : p.sampleSkewedSizes(rng))
+        for (unsigned s : p.draw(rng).sizes())
             max_seen = std::max(max_seen, s);
     }
     EXPECT_GE(max_seen, 25u);
@@ -149,7 +151,7 @@ TEST(Partitioner, NormalSizesConcentrateAroundMean)
     unsigned max_seen = 0;
     constexpr int kDraws = 5000;
     for (int i = 0; i < kDraws; ++i) {
-        const auto sizes = p.sampleNormalSizes(rng);
+        const auto sizes = p.draw(rng).sizes();
         unsigned total = 0;
         for (unsigned s : sizes) {
             EXPECT_GE(s, 1u);
@@ -208,6 +210,13 @@ TEST(Partitioner, SubwarpCountEqualsWarpSizeDegeneratesToDisabled)
     const auto part = fss32.draw(rng);
     for (unsigned s : part.sizes())
         EXPECT_EQ(s, 1u);
+}
+
+TEST(PartitionerDeathTest, RejectsWarpWiderThanPartitionCapacity)
+{
+    // GpuConfig caps warpSize at the same 32.
+    EXPECT_DEATH(SubwarpPartitioner(CoalescingPolicy::rss(8, true), 64),
+                 "exceeds the inline partition capacity");
 }
 
 /** Parameterized sweep: every (mechanism, M) draw is a valid partition. */

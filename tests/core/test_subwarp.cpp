@@ -70,6 +70,12 @@ TEST(SubwarpPartitionDeathTest, EmptyWarpRejected)
     EXPECT_DEATH(SubwarpPartition({}, 1), "empty partition");
 }
 
+TEST(SubwarpPartitionDeathTest, WarpWiderThanCapacityRejected)
+{
+    EXPECT_DEATH(SubwarpPartition::single(SubwarpPartition::kMaxThreads + 1),
+                 "exceeds the inline capacity");
+}
+
 TEST(SubwarpPartition, EqualityComparison)
 {
     const SubwarpPartition a({0, 1}, 2);
