@@ -4,13 +4,15 @@
  * (random and AES T-table lanes), partition sampling, T-table AES, DRAM
  * model, attack estimation and full key recovery, a full 32-line kernel
  * launch, and GpuMachine tick throughput (idle / PRT-saturated /
- * DRAM-saturated, with and without cycle skipping).
+ * DRAM-saturated / crossbar-saturated / cache-saturated, and the serve
+ * regime's three concurrent batches, with and without cycle skipping).
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "rcoal/aes/ttable.hpp"
 #include "rcoal/attack/correlation_attack.hpp"
@@ -134,10 +136,15 @@ BM_TTableEncryptTraced(benchmark::State &state)
 }
 BENCHMARK(BM_TTableEncryptTraced);
 
+/**
+ * One partition draining 64 random requests through a full queue. Arg
+ * is the DramBackendKind (0 = GDDR5, 2 = HBM2's two pseudo-channels).
+ */
 void
 BM_DramPartitionDrain(benchmark::State &state)
 {
-    const sim::GpuConfig cfg = sim::GpuConfig::paperBaseline();
+    sim::GpuConfig cfg = sim::GpuConfig::paperBaseline();
+    cfg.dramBackend = static_cast<sim::DramBackendKind>(state.range(0));
     const sim::AddressMapping mapping(cfg);
     Rng rng(4);
     for (auto _ : state) {
@@ -164,7 +171,9 @@ BM_DramPartitionDrain(benchmark::State &state)
         benchmark::DoNotOptimize(now);
     }
 }
-BENCHMARK(BM_DramPartitionDrain);
+BENCHMARK(BM_DramPartitionDrain)
+    ->Arg(static_cast<int>(sim::DramBackendKind::Gddr5))
+    ->Arg(static_cast<int>(sim::DramBackendKind::Hbm2));
 
 void
 BM_AttackEstimate(benchmark::State &state)
@@ -309,6 +318,62 @@ BM_MachineXbarSaturated(benchmark::State &state)
     runSaturatedMachineBench(state, cfg);
 }
 BENCHMARK(BM_MachineXbarSaturated)->Arg(0)->Arg(1);
+
+/**
+ * The serve regime without the frontend: three concurrent five-SM BASE
+ * AES batches of 320 lines (four mean-size serve requests each) on the
+ * Table I machine, so the DRAM queues hold long runs of bursts in
+ * flight and warps stall on the PRT. Arg toggles cycle skipping.
+ */
+void
+BM_MachineServeSaturated(benchmark::State &state)
+{
+    sim::GpuConfig cfg = sim::GpuConfig::paperBaseline();
+    cfg.cycleSkipping = state.range(0) != 0;
+    cfg.seed = 11;
+    sim::GpuMachine machine(cfg);
+    constexpr unsigned kGangs = 3;
+    constexpr unsigned kGangSms = 5;
+    std::vector<std::unique_ptr<workloads::AesGpuKernel>> batches;
+    for (unsigned g = 0; g < kGangs; ++g) {
+        Rng rng(20 + g);
+        batches.push_back(std::make_unique<workloads::AesGpuKernel>(
+            workloads::randomPlaintext(320, rng), bench::victimKey(),
+            cfg.warpSize));
+    }
+    std::uint64_t cycles = 0;
+    for (auto _ : state) {
+        const Cycle start = machine.now();
+        std::vector<sim::GpuMachine::LaunchId> ids;
+        for (unsigned g = 0; g < kGangs; ++g) {
+            ids.push_back(machine.launch(
+                *batches[g], sim::SmRange{g * kGangSms, kGangSms}));
+        }
+        std::size_t taken = 0;
+        while (taken < ids.size()) {
+            machine.tick();
+            for (auto &id : ids) {
+                if (id != ~sim::GpuMachine::LaunchId{0} && machine.done(id)) {
+                    benchmark::DoNotOptimize(machine.take(id));
+                    id = ~sim::GpuMachine::LaunchId{0};
+                    ++taken;
+                }
+            }
+            if (!machine.cycleSkippingEnabled() || taken == ids.size())
+                continue;
+            const Cycle target = std::min(machine.nextEventCycle(),
+                                          machine.now() + 4096);
+            if (target > machine.now() + 1)
+                machine.skipTo(target);
+        }
+        cycles += machine.now() - start;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
+}
+BENCHMARK(BM_MachineServeSaturated)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Raw tag-array throughput of the sectored cache on a mixed

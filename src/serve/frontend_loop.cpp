@@ -121,11 +121,21 @@ runFrontendLoop(const FrontendLoop &loop)
         // 5. Occupancy accounting for this cycle, then advance every
         //    machine together — idle replicas too, so a replica's
         //    device state depends only on the cycle count, never on
-        //    when the autoscaler last used it.
+        //    when the autoscaler last used it. A machine with nothing
+        //    to do next cycle skips it instead of stepping (exact by
+        //    the skip-vs-step contract), unless a completed launch
+        //    awaits step 1 or a memory-clock event lands in it.
         for (const auto &replica : replicas)
             replica->recordOccupancy(1);
-        for (const auto &replica : replicas)
+        for (const auto &replica : replicas) {
+            sim::GpuMachine &machine = replica->gpu();
+            if (skipping && machine.nextEventCycle() > now + 1 &&
+                !machine.anyCompletedUntaken() &&
+                machine.skipTo(now + 2) != 0) {
+                continue;
+            }
             replica->scheduler().tick();
+        }
         ++now;
         if (now >= deadline) {
             fatal("simulation still running after %llu cycles "

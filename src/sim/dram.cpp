@@ -42,6 +42,9 @@ DramPartition::DramPartition(const GpuConfig &config, unsigned partition_id,
     nextColumnGroup.assign(bt.bankGroups, 0);
     nextActivateGroup.assign(bt.bankGroups, 0);
     nextColumnAnyPc.assign(bt.pseudoChannels, 0);
+    inFlight.resize(bt.pseudoChannels);
+    for (SlotRing<Request> &fifo : inFlight)
+        fifo.reset(queueDepth);
 }
 
 bool
@@ -94,8 +97,10 @@ DramPartition::enqueue(MemoryAccess access, const DramLocation &loc,
 
 void
 DramPartition::enqueueSlot(std::uint32_t slot, const DramLocation &loc,
-                           Cycle now)
+                           Cycle /*now*/)
 {
+    // FR-FCFS age is the enqueue order, so the arrival cycle itself is
+    // not kept.
     RCOAL_ASSERT(canAccept(), "enqueue on full DRAM queue (partition %u)",
                  id);
     RCOAL_ASSERT(loc.partition == id,
@@ -104,7 +109,7 @@ DramPartition::enqueueSlot(std::uint32_t slot, const DramLocation &loc,
     Request req;
     req.slot = slot;
     req.loc = loc;
-    req.arrival = now;
+    req.seq = nextSeq++;
     queue.push_back(req);
     sleepUntil = 0; // New work: the no-op-tick proof no longer holds.
 }
@@ -144,6 +149,10 @@ DramPartition::issueColumnAt(Request &req, Cycle now)
     busFreeAt[pc] = burst_start + bt.burstCycles;
     req.completion = burst_start + bt.burstCycles;
     earliestCompletion = std::min(earliestCompletion, req.completion);
+    // Completions on a channel strictly increase (the burst starts no
+    // earlier than the bus frees), which keeps each FIFO sorted.
+    inFlight[pc].push_back(req);
+    ++inFlightCount;
     if (checker != nullptr) {
         checker->onRead(req.loc.bank, req.loc.row, now, burst_start,
                         bt.burstCycles);
@@ -185,8 +194,6 @@ DramPartition::tryIssueColumn(Cycle now)
     // constraints are satisfied wins.
     for (std::size_t i = 0; i < queue.size(); ++i) {
         Request &req = queue[i];
-        if (req.completion != kInvalidCycle)
-            continue;
         const Bank &bank = banks[req.loc.bank];
         if (bank.openRow != static_cast<std::int64_t>(req.loc.row))
             continue;
@@ -198,6 +205,7 @@ DramPartition::tryIssueColumn(Cycle now)
             continue;
         }
         issueColumnAt(req, now);
+        queue.removeAt(i);
         return true;
     }
     return false;
@@ -269,8 +277,6 @@ DramPartition::tryIssueActivate(Cycle now)
         return false;
     for (std::size_t i = 0; i < queue.size(); ++i) {
         Request &req = queue[i];
-        if (req.completion != kInvalidCycle)
-            continue;
         const Bank &bank = banks[req.loc.bank];
         if (bank.openRow != -1)
             continue;
@@ -293,16 +299,12 @@ DramPartition::tryIssuePrecharge(Cycle now)
     std::uint64_t open_row_wanted = 0; // bit per bank
     for (std::size_t i = 0; i < queue.size(); ++i) {
         const Request &req = queue[i];
-        if (req.completion != kInvalidCycle)
-            continue;
         const Bank &bank = banks[req.loc.bank];
         if (bank.openRow == static_cast<std::int64_t>(req.loc.row))
             open_row_wanted |= std::uint64_t{1} << req.loc.bank;
     }
     for (std::size_t i = 0; i < queue.size(); ++i) {
         Request &req = queue[i];
-        if (req.completion != kInvalidCycle)
-            continue;
         const Bank &bank = banks[req.loc.bank];
         if (bank.openRow == -1 ||
             bank.openRow == static_cast<std::int64_t>(req.loc.row)) {
@@ -350,8 +352,6 @@ DramPartition::issueCommands(Cycle now)
     const std::size_t n = queue.size();
     for (std::size_t i = 0; i < n; ++i) {
         const Request &req = queue[i];
-        if (req.completion != kInvalidCycle)
-            continue;
         const Bank &bank = banks[req.loc.bank];
         if (bank.openRow == static_cast<std::int64_t>(req.loc.row)) {
             open_row_wanted |= std::uint64_t{1} << req.loc.bank;
@@ -401,11 +401,10 @@ DramPartition::issueCommands(Cycle now)
         // the only bank whose row state changed is the ACT'd one, and
         // its fresh tRAS window blocks precharge this cycle (as does
         // the column winner's read-to-precharge raise, both checked
-        // against live state below).
+        // against live state below). The column winner is still in
+        // the queue here and skips itself: its row is open.
         for (std::size_t i = pre_first; i < n; ++i) {
             Request &req = queue[i];
-            if (req.completion != kInvalidCycle)
-                continue;
             const Bank &bank = banks[req.loc.bank];
             if (bank.openRow == -1 ||
                 bank.openRow == static_cast<std::int64_t>(req.loc.row)) {
@@ -420,6 +419,9 @@ DramPartition::issueCommands(Cycle now)
             break;
         }
     }
+    // The winner leaves the queue last, so the indices above held.
+    if (col_idx != npos)
+        queue.removeAt(col_idx);
     return issued;
 }
 
@@ -436,24 +438,11 @@ DramPartition::tick(Cycle now)
 
     bool worked = false;
 
-    // Retire serviced requests whose burst finished. earliestCompletion
-    // is exact (the min completion among serviced queued requests), so
-    // the gate both skips the walk on no-retire ticks and guarantees at
-    // least one retirement when taken.
+    // Retire bursts that finished. earliestCompletion is exact (the
+    // min in-flight completion), so the gate both skips retirement on
+    // no-retire ticks and guarantees at least one when taken.
     if (earliestCompletion <= now) {
-        Cycle next_retire = kInvalidCycle;
-        for (std::size_t i = 0; i < queue.size();) {
-            if (queue[i].completion != kInvalidCycle) {
-                if (queue[i].completion <= now) {
-                    completed.push_back(queue[i]);
-                    queue.removeAt(i);
-                    continue;
-                }
-                next_retire = std::min(next_retire, queue[i].completion);
-            }
-            ++i;
-        }
-        earliestCompletion = next_retire;
+        retireBursts(now);
         worked = true;
     }
 
@@ -482,10 +471,34 @@ DramPartition::tick(Cycle now)
         sleepUntil = workBound(now);
 }
 
+void
+DramPartition::retireBursts(Cycle now)
+{
+    const std::size_t first = completed.size();
+    Cycle next_retire = kInvalidCycle;
+    for (SlotRing<Request> &fifo : inFlight) {
+        while (!fifo.empty() && fifo.front().completion <= now) {
+            completed.push_back(fifo.front());
+            fifo.pop_front();
+            --inFlightCount;
+        }
+        if (!fifo.empty())
+            next_retire = std::min(next_retire, fifo.front().completion);
+    }
+    // Bursts finishing on one tick leave in arrival order, whichever
+    // channel carried them. On HBM2 both channels can finish on one
+    // tick when a bus backs up, which the legacy-timing seam allows.
+    std::sort(completed.begin() + static_cast<std::ptrdiff_t>(first),
+              completed.end(), [](const Request &a, const Request &b) {
+                  return a.seq < b.seq;
+              });
+    earliestCompletion = next_retire;
+}
+
 Cycle
 DramPartition::nextEventCycle(Cycle now) const
 {
-    if (queue.empty() && completed.empty() && !refreshEnabled)
+    if (idle() && !refreshEnabled)
         return kInvalidCycle;
     if (legacyTiming)
         return now + 1; // Test seam: no skipping guarantees.
@@ -529,22 +542,19 @@ DramPartition::workBound(Cycle now) const
         }
     }
 
+    // Burst retirement: the FIFO heads hold the earliest completions.
+    consider(earliestCompletion);
+
     const bool commands_blocked = refreshDue(now);
     std::uint64_t open_row_wanted = 0; // Same mask tryIssuePrecharge uses.
     for (std::size_t i = 0; i < queue.size(); ++i) {
         const Request &req = queue[i];
-        if (req.completion != kInvalidCycle)
-            continue;
         const Bank &bank = banks[req.loc.bank];
         if (bank.openRow == static_cast<std::int64_t>(req.loc.row))
             open_row_wanted |= std::uint64_t{1} << req.loc.bank;
     }
     for (std::size_t i = 0; i < queue.size(); ++i) {
         const Request &req = queue[i];
-        if (req.completion != kInvalidCycle) {
-            consider(req.completion); // Burst retirement.
-            continue;
-        }
         const Bank &bank = banks[req.loc.bank];
         const unsigned group = groupOf(req.loc.bank);
         if (bank.openRow == static_cast<std::int64_t>(req.loc.row)) {
@@ -614,6 +624,7 @@ DramPartition::reset()
     nextRefreshAt = bt.base.tREFI;
     sleepUntil = 0;
     earliestCompletion = kInvalidCycle;
+    nextSeq = 0;
 }
 
 void
@@ -672,6 +683,7 @@ DramPartition::restoreState(common::ArenaReader &r)
     r.pod(nextRefreshAt);
     sleepUntil = 0; // Derived memo; never part of a snapshot.
     earliestCompletion = kInvalidCycle; // Idle: nothing serviced.
+    nextSeq = 0;
     RCOAL_ASSERT(busFreeAt.size() == bt.pseudoChannels &&
                      nextColumnGroup.size() == bt.bankGroups,
                  "DRAM backend structure mismatch on restore");

@@ -52,7 +52,7 @@ class DramPartition
                   KernelStats *stats, AccessSlab *slab = nullptr);
 
     /** True when the request queue has room. */
-    bool canAccept() const { return !queue.full(); }
+    bool canAccept() const { return queuedRequests() < queueDepth; }
 
     /** Enqueue an access (must canAccept()); @p now is the memory cycle. */
     void enqueue(MemoryAccess access, const DramLocation &loc, Cycle now);
@@ -87,10 +87,22 @@ class DramPartition
     std::uint32_t popCompletedSlot(Cycle now);
 
     /** True when no requests are queued, in flight, or completed. */
-    bool idle() const { return queue.empty() && completed.empty(); }
+    bool idle() const
+    {
+        return queue.empty() && inFlightCount == 0 && completed.empty();
+    }
 
-    /** Number of queued (unserviced) requests. */
-    std::size_t queuedRequests() const { return queue.size(); }
+    /**
+     * Requests held against the queue depth: unserviced requests plus
+     * serviced ones whose data burst has not finished. This is the
+     * backpressure occupancy canAccept() tests, not the FR-FCFS
+     * candidate count; on a saturated partition most of it is bursts
+     * in flight.
+     */
+    std::size_t queuedRequests() const
+    {
+        return queue.size() + inFlightCount;
+    }
 
     /**
      * Per-bank command counters, telemetry-grade: unlike the KernelStats
@@ -173,7 +185,7 @@ class DramPartition
     {
         std::uint32_t slot = kInvalidSlot; ///< Slab slot of the access.
         DramLocation loc;
-        Cycle arrival = 0;
+        std::uint64_t seq = 0; ///< Enqueue order (arrival order).
         bool neededActivate = false; ///< Row was not open on arrival path.
         Cycle completion = kInvalidCycle; ///< Data available (mem cycles).
     };
@@ -186,6 +198,7 @@ class DramPartition
         Cycle prechargeAllowed = 0;  ///< tRAS from last ACT.
     };
 
+    /** Issue @p req's column command and move a copy in flight. */
     void issueColumnAt(Request &req, Cycle now);
     void issueActivateAt(Request &req, Cycle now);
     void issuePrechargeAt(Request &req, Cycle now);
@@ -201,6 +214,8 @@ class DramPartition
     bool tryIssueColumn(Cycle now);
     bool tryIssueActivate(Cycle now);
     bool tryIssuePrecharge(Cycle now);
+    /** Retire every burst finished by @p now into `completed`. */
+    void retireBursts(Cycle now);
     bool maybeRefresh(Cycle now);
     bool refreshDue(Cycle now) const;
 
@@ -235,7 +250,18 @@ class DramPartition
     AccessSlab *slab;                    ///< Shared or ownSlab.get().
     std::unique_ptr<AccessSlab> ownSlab; ///< Fallback for the value API.
 
-    SlotRing<Request> queue;          ///< Age-ordered, oldest first.
+    /** Unserviced requests, age-ordered, oldest first. */
+    SlotRing<Request> queue;
+    /**
+     * Serviced requests whose burst is still on the bus, one FIFO per
+     * pseudo-channel in column-issue order. Bursts serialize on their
+     * channel's data bus, so completions strictly increase along each
+     * FIFO: retirement pops heads and the FR-FCFS walks never step
+     * over bursts in flight.
+     */
+    std::vector<SlotRing<Request>> inFlight;
+    std::size_t inFlightCount = 0;   ///< Entries across `inFlight`.
+    std::uint64_t nextSeq = 0;       ///< Next Request::seq.
     std::vector<Request> completed;   ///< Serviced, awaiting pickup.
     std::vector<Bank> banks;
     std::vector<BankCounters> bankStats; ///< Parallel to `banks`.
@@ -259,10 +285,10 @@ class DramPartition
      */
     Cycle sleepUntil = 0;
     /**
-     * Exact min completion among serviced queued requests
-     * (kInvalidCycle when none): gates the per-tick retire walk.
-     * Derived state — maintained at column issue, recomputed by the
-     * retire walk, never serialized (requires an idle partition).
+     * Exact min completion among bursts in flight, i.e. over the
+     * in-flight FIFO heads (kInvalidCycle when none): gates the
+     * per-tick retirement. Derived state — maintained at column issue
+     * and retirement, never serialized (requires an idle partition).
      */
     Cycle earliestCompletion = kInvalidCycle;
 

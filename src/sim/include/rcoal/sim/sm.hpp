@@ -159,8 +159,15 @@ class StreamingMultiprocessor
 
     const mem::SectoredCache *l1Cache() const { return l1.get(); }
 
-    /** Attach a sink for issue/stall/coalesce events (core domain). */
-    void setTraceSink(trace::TraceSink *s) { traceSink = s; }
+    /**
+     * Attach a sink for issue/stall/coalesce events (core domain). The
+     * scan reopens so a stalled SM emits its per-cycle SmStall events.
+     */
+    void setTraceSink(trace::TraceSink *s)
+    {
+        traceSink = s;
+        scanGate = 0;
+    }
 
     /**
      * Attach a span collector (rcoal::spans); the SM stamps coalesce
@@ -224,6 +231,21 @@ class StreamingMultiprocessor
      * stall persists, without touching the cold warp state or trace.
      */
     bool tryIssue(std::size_t slot, Cycle now);
+
+    /**
+     * The resource checks of warp @p slot's memoized memory
+     * instruction: true when the LD/ST queue or the PRT cannot take it
+     * this cycle. Counts a PRT stall, and lowers the matching demand
+     * threshold (minLdstDemand / minPrtDemand) for the scan gate.
+     */
+    bool memoryStalled(std::size_t slot, Cycle now);
+
+    /** Reopen the scan gate if a queue pop admits a blocked warp. */
+    void ldstPopped()
+    {
+        if (ldstQueue.size() + minLdstDemand <= ldstQueueCapacity)
+            scanGate = 0;
+    }
 
     /** Issue a memory instruction; false when resources are exhausted. */
     bool issueMemory(std::size_t slot, const WarpInstruction &instr,
@@ -308,20 +330,36 @@ class StreamingMultiprocessor
 
     /**
      * Issue-scan gate: the next cycle the per-scheduler warp scan must
-     * run under per-cycle stepping. A scan with side effects (an issue
-     * or a stall counter bump) re-arms it to now + 1; a quiet scan arms
-     * it to the earliest warp wake-up (kInvalidCycle when every pending
-     * warp is event-blocked). Every event that could unblock a silent
-     * issue failure — a queue pop, a load completion, a new warp —
-     * resets it to 0 so the next tick rescans.
+     * run under per-cycle stepping. An issuing scan re-arms it to
+     * now + 1; a non-issuing scan arms it to the earliest warp wake-up
+     * (kInvalidCycle when every pending warp is event-blocked), even
+     * when it counted PRT stalls: until an event changes a verdict,
+     * each closed-gate tick replays the scan's stall count
+     * (scanPrtStalls) instead of rescanning. Events that can unblock a
+     * warp reset it to 0: a new warp, a queue pop that fits
+     * minLdstDemand, a load completion that frees minPrtDemand PRT
+     * entries or drains its warp's loads (waitAllLoads). With a trace
+     * sink attached a stalling scan still re-arms to now + 1, because
+     * SmStall events are per cycle.
      */
     Cycle scanGate = 0;
     /**
+     * Smallest LD/ST-queue demand among the warps the last scan found
+     * blocked on queue space, and smallest PRT demand among those it
+     * found blocked on PRT entries (kNoDemand when none). 0 means
+     * "any pop or completion reopens the gate" (reset/restoreState).
+     */
+    static constexpr std::uint32_t kNoDemand = ~std::uint32_t{0};
+    std::uint32_t minLdstDemand = 0;
+    std::uint32_t minPrtDemand = 0;
+    /** PRT stalls the last scan counted (replayed while gated). */
+    std::uint64_t scanPrtStalls = 0;
+    /**
      * Earliest time-blocked warp wake-up as of the last scan: the
-     * state-change lower bound nextEventCycle() uses. Deliberately NOT
-     * scanGate — a stalling scan re-arms scanGate to now + 1 every
-     * cycle, but its only effect is the stall counters, which skipping
-     * replays in bulk.
+     * state-change lower bound nextEventCycle() uses. Unlike scanGate
+     * it ignores the re-arm to now + 1 after an issue or under a trace
+     * sink with stalls; nextEventCycle() pins those cycles through
+     * tickChanged and its own trace-sink rule.
      */
     Cycle scanWake = 0;
     bool tickChanged = false;       ///< This tick moved/issued something.

@@ -96,6 +96,9 @@ StreamingMultiprocessor::reset()
     busyUntil = 0;
     scanGate = 0;
     scanWake = 0;
+    minLdstDemand = 0;
+    minPrtDemand = 0;
+    scanPrtStalls = 0;
     tickChanged = false;
     responseSinceTick = false;
     // Per-tick state that used to leak across launches: tick() zeroes
@@ -172,6 +175,10 @@ StreamingMultiprocessor::restoreState(common::ArenaReader &r)
     scanIssued = r.take<std::uint8_t>() != 0;
     r.pod(prtStallsTick);
     r.pod(icnStallsTick);
+    // Gate thresholds are derived state, not part of the snapshot.
+    minLdstDemand = 0;
+    minPrtDemand = 0;
+    scanPrtStalls = 0;
     laneScratch.assign(static_cast<std::size_t>(r.take<std::uint64_t>()),
                        0);
     const bool had_l1 = r.take<std::uint8_t>() != 0;
@@ -272,14 +279,8 @@ StreamingMultiprocessor::issueMemory(std::size_t slot,
         return true;
     }
     // Cheap resource checks first: these run every stalled retry.
-    if (ldstQueue.size() + accesses.size() > ldstQueueCapacity)
+    if (memoryStalled(slot, now))
         return false;
-    if (is_load && prt.freeEntries() < pendingPrt[slot]) {
-        ++stats->prtStallCycles;
-        ++prtStallsTick;
-        RCOAL_TRACE(traceSink, SmStall, now, 0, warp.id, 0);
-        return false;
-    }
 
     const unsigned active_lanes = warp.pendingActiveLanes;
     laneScratch.assign(cfg.warpSize, -1);
@@ -359,26 +360,35 @@ StreamingMultiprocessor::issueMemory(std::size_t slot,
 }
 
 bool
+StreamingMultiprocessor::memoryStalled(std::size_t slot,
+                                       [[maybe_unused]] Cycle now)
+{
+    if (ldstQueue.size() + pendingCount[slot] > ldstQueueCapacity) {
+        minLdstDemand = std::min(minLdstDemand, pendingCount[slot]);
+        return true;
+    }
+    if (pendingLoad[slot] != 0 && prt.freeEntries() < pendingPrt[slot]) {
+        minPrtDemand = std::min(minPrtDemand, pendingPrt[slot]);
+        ++stats->prtStallCycles;
+        ++prtStallsTick;
+        RCOAL_TRACE(traceSink, SmStall, now, 0, warpIds[slot], 0);
+        return true;
+    }
+    return false;
+}
+
+bool
 StreamingMultiprocessor::tryIssue(std::size_t slot, Cycle now)
 {
     if (warpPc[slot] >= warpTraceLen[slot] || warpReadyAt[slot] > now)
         return false;
-    if (pendingMem[slot] != 0) {
-        // Stalled-retry fast path: the current memory instruction is
-        // already coalesced and its resource demand mirrored in the
-        // scoreboard arrays, so repeating yesterday's structural stall
-        // never touches the cold warp state or the trace. The checks
-        // (and their accounting) are exactly issueMemory's.
-        if (ldstQueue.size() + pendingCount[slot] > ldstQueueCapacity)
-            return false;
-        if (pendingLoad[slot] != 0 &&
-            prt.freeEntries() < pendingPrt[slot]) {
-            ++stats->prtStallCycles;
-            ++prtStallsTick;
-            RCOAL_TRACE(traceSink, SmStall, now, 0, warpIds[slot], 0);
-            return false;
-        }
-    }
+    // Stalled-retry fast path: the current memory instruction is
+    // already coalesced and its resource demand mirrored in the
+    // scoreboard arrays, so repeating yesterday's structural stall
+    // never touches the cold warp state or the trace. The checks (and
+    // their accounting) are exactly issueMemory's.
+    if (pendingMem[slot] != 0 && memoryStalled(slot, now))
+        return false;
     WarpCold &warp = warpsCold[slot];
     const WarpInstruction &instr = (*warp.trace)[warpPc[slot]];
     switch (instr.op) {
@@ -463,7 +473,7 @@ StreamingMultiprocessor::drainLdst(Cycle now)
                 LocalResponse{now + l1->hitLatency(), head_slot});
             ldstQueue.pop_front();
             tickChanged = true;
-            scanGate = 0; // Queue space freed: rescan.
+            ldstPopped();
             return;
         }
         if (mshr) {
@@ -475,7 +485,7 @@ StreamingMultiprocessor::drainLdst(Cycle now)
                 ++stats->mshrMerges;
                 ldstQueue.pop_front();
                 tickChanged = true;
-                scanGate = 0; // Queue space freed: rescan.
+                ldstPopped();
                 return;
             }
             if (!mshr->canAllocate())
@@ -494,7 +504,7 @@ StreamingMultiprocessor::drainLdst(Cycle now)
             l1->reserve();
             ldstQueue.pop_front();
             tickChanged = true;
-            scanGate = 0; // Queue space freed: rescan.
+            ldstPopped();
             const unsigned dest = map->partitionOf(head.blockAddr);
             head.prtIndices.clear(); // PRT freed via the MSHR entry.
 #if RCOAL_TRACE_ENABLED
@@ -524,7 +534,7 @@ StreamingMultiprocessor::drainLdst(Cycle now)
     reqXbar->injectSlot(id, dest, head_slot, now);
     ldstQueue.pop_front();
     tickChanged = true;
-    scanGate = 0; // Queue space freed: rescan.
+    ldstPopped();
 }
 
 void
@@ -540,13 +550,17 @@ StreamingMultiprocessor::tick(Cycle now)
 
     drainLdst(now);
 
-    // The issue scan is pure when it fails: it either issues, bumps a
-    // stall counter, or provably does nothing. scanGate tracks the next
-    // cycle it could do otherwise, so quiet stretches skip the
-    // per-scheduler warp walk entirely (and any event that could
-    // unblock a silent failure resets the gate to 0).
-    if (now >= scanGate)
+    // A non-issuing scan is pure apart from its PRT-stall count, and
+    // that count cannot change until a warp wakes (scanGate) or an
+    // event meets a demand threshold (which resets the gate). A
+    // closed-gate tick therefore replays the count instead of walking
+    // the warps — applySkippedCycles()' rule, one cycle at a time.
+    if (now >= scanGate) {
         scanWarps(now);
+    } else if (scanPrtStalls != 0) {
+        stats->prtStallCycles += scanPrtStalls;
+        prtStallsTick += scanPrtStalls;
+    }
 }
 
 void
@@ -554,6 +568,8 @@ StreamingMultiprocessor::scanWarps(Cycle now)
 {
     const std::uint64_t prt_before = prtStallsTick;
     const std::size_t nwarps = warpsCold.size();
+    minLdstDemand = kNoDemand;
+    minPrtDemand = kNoDemand;
 
     // One issue slot per scheduler; warp slot w belongs to scheduler
     // w % issueWidth (the 16x2 SIMT organization of Table I).
@@ -640,8 +656,12 @@ StreamingMultiprocessor::scanWarps(Cycle now)
         if (warpPc[i] < warpTraceLen[i] && warpReadyAt[i] > now)
             wake = std::min(wake, warpReadyAt[i]);
     }
-    const bool side_effects = scanIssued || prtStallsTick != prt_before;
-    scanGate = side_effects ? now + 1 : wake;
+    scanPrtStalls = prtStallsTick - prt_before;
+    bool rescan = scanIssued;
+#if RCOAL_TRACE_ENABLED
+    rescan |= traceSink != nullptr && scanPrtStalls != 0;
+#endif
+    scanGate = rescan ? now + 1 : wake;
     scanWake = wake;
 }
 
@@ -721,7 +741,11 @@ StreamingMultiprocessor::finalizeLoad(const MemoryAccess &access, Cycle now)
             access.tag == AccessTag::LastRoundLookup);
     }
 #endif
-    scanGate = 0; // Freed PRT entries / woke a waiting warp: rescan.
+    // Rescan only if this completion can unblock a warp: enough PRT
+    // entries for the smallest PRT-blocked demand, or the warp's last
+    // load back (a waitAllLoads ALU instruction may now issue).
+    if (prt.freeEntries() >= minPrtDemand || warpOutstanding[slot] == 0)
+        scanGate = 0;
 }
 
 void
@@ -736,7 +760,6 @@ StreamingMultiprocessor::deliverResponseSlot(std::uint32_t slot, Cycle now)
     const MemoryAccess &access = slab->at(slot);
     RCOAL_ASSERT(!access.isWrite, "write response delivered to SM %u", id);
     responseSinceTick = true;
-    scanGate = 0;
     if (l1) {
         l1->release();
         l1->fill(access.blockAddr, access.bytes);

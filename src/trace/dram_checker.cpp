@@ -4,8 +4,9 @@
 
 namespace rcoal::trace {
 
-DramProtocolChecker::DramProtocolChecker(const Params &params, Mode mode)
-    : p(params), mode(mode), banks(params.banks),
+DramProtocolChecker::DramProtocolChecker(const Params &params,
+                                         Mode on_violation)
+    : p(params), mode(on_violation), banks(params.banks),
       busBusyUntil(params.pseudoChannels, 0),
       lastActivateGroup(params.bankGroups, kInvalidCycle),
       lastReadGroup(params.bankGroups, kInvalidCycle),

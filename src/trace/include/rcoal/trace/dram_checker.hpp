@@ -86,7 +86,7 @@ class DramProtocolChecker
     };
 
     explicit DramProtocolChecker(const Params &params,
-                                 Mode mode = Mode::Panic);
+                                 Mode on_violation = Mode::Panic);
 
     // Online hooks — called by DramPartition at command-issue points.
     void onActivate(unsigned bank, std::uint64_t row, Cycle now);

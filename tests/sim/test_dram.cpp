@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rcoal/common/rng.hpp"
 #include "rcoal/sim/dram.hpp"
 
 namespace rcoal::sim {
@@ -238,6 +239,83 @@ TEST_F(DramFixture, DeathOnEnqueueWhenFull)
     for (std::size_t i = 0; i < cfg.dramQueueDepth; ++i)
         dram.enqueue(makeAccess(i, Addr{i} * 64), loc(0, 0), 0);
     EXPECT_DEATH(dram.enqueue(makeAccess(99, 0), loc(0, 0), 0), "full");
+}
+
+TEST_F(DramFixture, QueuedRequestsCountsUnservicedPlusInFlight)
+{
+    // The queue depth bounds unserviced requests plus bursts in flight:
+    // a column winner leaves the FR-FCFS candidates at issue but keeps
+    // its slot of the depth until its data burst retires.
+    DramPartition dram(cfg, 0, &stats);
+    const std::size_t depth = cfg.dramQueueDepth;
+    for (std::size_t i = 0; i < depth; ++i)
+        dram.enqueue(makeAccess(i, i * 64), loc(0, 5), 0);
+    EXPECT_EQ(dram.queuedRequests(), depth);
+    EXPECT_FALSE(dram.canAccept());
+
+    std::size_t popped = 0;
+    bool saw_only_in_flight = false;
+    for (Cycle c = 1; popped < depth && c < 10000; ++c) {
+        dram.tick(c);
+        while (dram.hasCompleted(c)) {
+            dram.popCompleted(c);
+            ++popped;
+        }
+        // Every column command moved one request in flight.
+        const std::size_t columns = stats.dramRowHits + stats.dramRowMisses;
+        const std::size_t unserviced = depth - columns;
+        const std::size_t in_flight = columns - popped;
+        EXPECT_EQ(dram.queuedRequests(), unserviced + in_flight)
+            << "cycle " << c;
+        EXPECT_EQ(dram.canAccept(), popped > 0) << "cycle " << c;
+        saw_only_in_flight |= unserviced == 0 && in_flight > 1;
+    }
+    EXPECT_EQ(popped, depth);
+    EXPECT_TRUE(saw_only_in_flight)
+        << "bursts in flight never outlived the last column command";
+    EXPECT_EQ(dram.queuedRequests(), 0u);
+    EXPECT_TRUE(dram.idle());
+}
+
+TEST_F(DramFixture, SameTickRetirementsLeaveInArrivalOrder)
+{
+    // Each HBM2 pseudo-channel retires its own bursts. Under the legacy
+    // timing seam (no per-channel tCCD window) a channel's bus backs
+    // up, so bursts on both channels can finish on one tick; they must
+    // leave in arrival order, as from one age-ordered queue.
+    cfg.dramBackend = DramBackendKind::Hbm2;
+    DramPartition dram(cfg, 0, &stats);
+    dram.enableLegacyTimingForTest();
+    const unsigned banks_per_pc = cfg.banksPerPartition / 2;
+    Rng rng(17);
+    constexpr std::uint64_t kRequests = 2000;
+    std::uint64_t next_id = 0;
+    std::uint64_t popped = 0;
+    unsigned shared_ticks = 0;
+    for (Cycle c = 1; popped < kRequests && c < 100000; ++c) {
+        while (next_id < kRequests && dram.canAccept()) {
+            // Two open rows per channel: mostly row hits on both buses.
+            const auto bank = static_cast<unsigned>(
+                rng.below(2) + (rng.below(2) == 0 ? 0 : banks_per_pc));
+            dram.enqueue(makeAccess(next_id, next_id * 64), loc(bank, bank),
+                         c);
+            ++next_id;
+        }
+        dram.tick(c);
+        unsigned retired = 0;
+        std::uint64_t last = 0;
+        while (dram.hasCompleted(c)) {
+            const MemoryAccess done = dram.popCompleted(c);
+            if (retired > 0)
+                EXPECT_GT(done.id, last) << "cycle " << c;
+            last = done.id;
+            ++retired;
+            ++popped;
+        }
+        shared_ticks += retired >= 2 ? 1 : 0;
+    }
+    EXPECT_EQ(popped, kRequests);
+    EXPECT_GT(shared_ticks, 0u) << "no tick retired bursts on both channels";
 }
 
 } // namespace
