@@ -35,8 +35,8 @@ struct LaneRequest
  * Fixed-capacity inline lane list. A coalesced access serves at most
  * one lane per warp thread, and a warp holds at most kCapacity threads
  * (a static_assert in GpuConfig::validate() ties kCapacity to
- * SubwarpPartition::kMaxThreads and PrtIndexList::kCapacity), so the
- * coalescing hot path never touches the heap.
+ * SubwarpPartition::kMaxThreads), so the coalescing hot path never
+ * touches the heap.
  */
 struct LaneList
 {

@@ -4,9 +4,11 @@
  *
  * Mirrors Fig. 11 of the paper: each entry logs a thread's memory
  * request (tid, base address, offset, size) plus the subwarp-id (sid)
- * field RCoal adds so the coalescer knows which threads to merge. The
- * simulator's LD/ST unit allocates entries when a warp memory instruction
- * issues and retires them as coalesced accesses complete.
+ * field RCoal adds so the coalescer knows which threads to merge. This
+ * is the functional model: the simulator's LD/ST unit changes timing
+ * only through the table's capacity, so it keeps an occupancy count
+ * (StreamingMultiprocessor::prtUsed) that matches this table's
+ * allocate()/release() accounting, one entry per lane an access serves.
  */
 
 #ifndef RCOAL_CORE_PENDING_REQUEST_TABLE_HPP

@@ -12,7 +12,6 @@
 
 #include "rcoal/common/logging.hpp"
 #include "rcoal/core/coalescer.hpp"
-#include "rcoal/sim/memory_access.hpp"
 
 namespace rcoal::sim {
 
@@ -108,16 +107,15 @@ GpuConfig::validate() const
         fatal("clock frequencies must be positive");
     if (prtEntries < warpSize)
         fatal("PRT must hold at least one entry per warp lane");
-    // One warp-size bound for the PRT index list, the inline sids of
-    // every drawn subwarp partition and each coalesced access's lanes.
-    static_assert(PrtIndexList::kCapacity ==
-                      core::SubwarpPartition::kMaxThreads &&
-                  core::LaneList::kCapacity ==
-                      core::SubwarpPartition::kMaxThreads);
-    if (warpSize > PrtIndexList::kCapacity) {
-        fatal("warpSize %u exceeds the inline PRT index capacity %zu "
-              "(raise PrtIndexList::kCapacity)",
-              warpSize, PrtIndexList::kCapacity);
+    // One warp-size bound for the inline sids of every drawn subwarp
+    // partition and each coalesced access's lanes.
+    static_assert(core::LaneList::kCapacity ==
+                  core::SubwarpPartition::kMaxThreads);
+    if (warpSize > core::SubwarpPartition::kMaxThreads) {
+        fatal("warpSize %u exceeds the inline lane capacity %u "
+              "(raise SubwarpPartition::kMaxThreads and "
+              "LaneList::kCapacity)",
+              warpSize, core::SubwarpPartition::kMaxThreads);
     }
     validateCacheGeometry("L1", l1, coalesceBlockBytes);
     validateCacheGeometry("L2", l2, coalesceBlockBytes);

@@ -579,16 +579,6 @@ DramPartition::workBound(Cycle now) const
     return bound;
 }
 
-bool
-DramPartition::hasCompleted(Cycle now) const
-{
-    for (const Request &req : completed) {
-        if (req.completion <= now)
-            return true;
-    }
-    return false;
-}
-
 MemoryAccess
 DramPartition::popCompleted(Cycle now)
 {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 
 #include "rcoal/common/logging.hpp"
 #include "rcoal/spans/collector.hpp"
@@ -69,9 +70,14 @@ GpuMachine::GpuMachine(GpuConfig config)
         drams.push_back(
             std::make_unique<DramPartition>(cfg, p, &memStats, &slab));
     }
+    // Sized for one full DRAM queue's completions; they grow past that
+    // only under a response-crossbar backlog, and never shrink.
+    for (auto &backlog : respBacklog)
+        backlog.reset(cfg.dramQueueDepth);
     if (cfg.l2Enabled) {
         l2.resize(cfg.numPartitions);
         for (auto &front : l2) {
+            front.pendingHits.reset(cfg.dramQueueDepth);
             front.cache = std::make_unique<mem::SectoredCache>(cfg.l2);
             if (cfg.mshrEnabled) {
                 front.mshr =
@@ -427,6 +433,18 @@ GpuMachine::prtOccupancy() const
     return fill;
 }
 
+std::size_t
+GpuMachine::prtOccupancy(SmRange range) const
+{
+    RCOAL_ASSERT(range.first + range.count <= cfg.numSms,
+                 "SM range [%u, %u) out of range", range.first,
+                 range.first + range.count);
+    std::size_t fill = 0;
+    for (unsigned s = range.first; s < range.first + range.count; ++s)
+        fill += sms[s]->prtOccupancy();
+    return fill;
+}
+
 namespace {
 
 /** Pre-resolved instrument pointers for the machine's pull collector. */
@@ -662,10 +680,13 @@ GpuMachine::rangeFree(SmRange range) const
 unsigned
 GpuMachine::busySms() const
 {
+#ifndef NDEBUG
     unsigned busy = 0;
     for (bool b : smBusy)
         busy += b ? 1 : 0;
-    return busy;
+    assert(busy == busyCount && "busy-SM counter drifted");
+#endif
+    return busyCount;
 }
 
 KernelStats *
@@ -693,6 +714,7 @@ GpuMachine::launchStream(const KernelSource &kernel, SmRange range,
     launch.stats = std::make_unique<KernelStats>();
     launch.startCycle = nowCycle;
 
+    busyCount += range.count;
     for (unsigned s = range.first; s < range.first + range.count; ++s) {
         smBusy[s] = true;
         sms[s]->beginLaunch(launch.stats.get(), slot,
@@ -805,8 +827,8 @@ GpuMachine::tick()
                 if (outcome == mem::AccessOutcome::Hit) {
                     if (owner != nullptr)
                         ++owner->l2Hits;
-                    l2[p].pendingHits.emplace_back(
-                        nowCycle + cfg.l2.hitLatency, pkt);
+                    l2[p].pendingHits.pushBackGrowing(
+                        {nowCycle + cfg.l2.hitLatency, pkt});
                     continue;
                 }
                 if (owner != nullptr) {
@@ -879,7 +901,7 @@ GpuMachine::tick()
                     slab.free(pkt);
                     for (MemoryAccess &waiting :
                          l2[p].mshr->complete(block)) {
-                        respBacklog[p].push_back(
+                        respBacklog[p].pushBackGrowing(
                             slab.allocate(std::move(waiting)));
                     }
                     continue;
@@ -902,12 +924,12 @@ GpuMachine::tick()
                 slab.free(pkt);
                 continue;
             }
-            respBacklog[p].push_back(pkt);
+            respBacklog[p].pushBackGrowing(pkt);
         }
         if (cfg.l2Enabled) {
             auto &pending = l2[p].pendingHits;
             while (!pending.empty() && pending.front().first <= nowCycle) {
-                respBacklog[p].push_back(pending.front().second);
+                respBacklog[p].pushBackGrowing(pending.front().second);
                 pending.pop_front();
             }
         }
@@ -1148,6 +1170,7 @@ GpuMachine::take(LaunchId id)
         sms[s]->reset();
         smBusy[s] = false;
     }
+    busyCount -= launch.range.count;
     active.erase(it);
     return stats;
 }

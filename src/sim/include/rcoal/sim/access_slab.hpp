@@ -3,13 +3,12 @@
  * Slab storage for in-flight MemoryAccess records and the fixed-capacity
  * ring buffer the hot-path queues are built from.
  *
- * A MemoryAccess is ~200 bytes (the inline PrtIndexList alone is 132);
- * before the slab every queue hop — LD/ST queue, crossbar input and
- * output ports, DRAM pending queue, response backlog — copied or moved
- * the full struct. With the slab a packet in motion is a 32-bit slot
- * index: the struct is written once at issue and read again only at the
- * points that actually consume its fields (L2 lookup, DRAM address
- * decode, response finalization).
+ * A MemoryAccess fits one cache line (56 bytes with tracing compiled
+ * out). Even so, a queue hop — LD/ST queue, crossbar input and
+ * output ports, DRAM pending queue, response backlog — moves only a
+ * 32-bit slot index: the struct is written once at issue and read again
+ * only at the points that actually consume its fields (L2 lookup, DRAM
+ * address decode, response finalization).
  *
  * Slot numbers are pure identifiers: nothing may order or key on them
  * (ordering and traces use MemoryAccess::id), so the allocator's LIFO
@@ -21,6 +20,7 @@
 #ifndef RCOAL_SIM_ACCESS_SLAB_HPP
 #define RCOAL_SIM_ACCESS_SLAB_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -124,7 +124,10 @@ class AccessSlab
  * scans that walk the DRAM queue every memory cycle. removeAt() erases
  * from the middle by shifting the tail forward, preserving FIFO order
  * and — unlike a tombstone scheme — the exact capacity/backpressure
- * behaviour of the deques it replaces.
+ * behaviour of the deques it replaces. Queues with no capacity bound
+ * (the machine's response backlogs and L2 hit queues) use
+ * pushBackGrowing(), which grows the storage to the high-water mark and
+ * never shrinks it, so their steady state allocates nothing either.
  */
 template <typename T>
 class SlotRing
@@ -185,6 +188,18 @@ class SlotRing
         ++count;
     }
 
+    /**
+     * push_back() into an unbounded queue: a full ring first doubles
+     * its capacity (at least kMinGrowth slots), keeping FIFO order.
+     */
+    void
+    pushBackGrowing(T value)
+    {
+        if (full())
+            grow();
+        push_back(std::move(value));
+    }
+
     void
     pop_front()
     {
@@ -211,6 +226,18 @@ class SlotRing
     }
 
   private:
+    static constexpr std::size_t kMinGrowth = 8;
+
+    void
+    grow()
+    {
+        std::vector<T> bigger(std::max(kMinGrowth, 2 * storage.size()));
+        for (std::size_t i = 0; i < count; ++i)
+            bigger[i] = std::move(storage[wrap(head + i)]);
+        storage.swap(bigger);
+        head = 0;
+    }
+
     std::size_t
     wrap(std::size_t i) const
     {

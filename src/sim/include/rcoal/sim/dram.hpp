@@ -78,7 +78,15 @@ class DramPartition
      * True when a serviced access is ready to be picked up at memory
      * cycle @p now.
      */
-    bool hasCompleted(Cycle now) const;
+    bool
+    hasCompleted(Cycle now) const
+    {
+        for (const Request &req : completed) {
+            if (req.completion <= now)
+                return true;
+        }
+        return false;
+    }
 
     /** Pop one completed access (must hasCompleted()). */
     MemoryAccess popCompleted(Cycle now);

@@ -19,7 +19,6 @@
 #define RCOAL_SIM_GPU_MACHINE_HPP
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -94,6 +93,9 @@ class GpuMachine
 
     /** SMs currently allocated to resident kernels. */
     unsigned busySms() const;
+
+    /** Live PRT fill of the SMs in @p range (0 for a retired range). */
+    std::size_t prtOccupancy(SmRange range) const;
 
     /**
      * Make @p kernel resident on @p range (which must be free) and
@@ -317,7 +319,7 @@ class GpuMachine
         /** L2 MSHRs (populated when MSHR merging is enabled). */
         std::unique_ptr<mem::MshrTable> mshr;
         /** Hit responses' slab slots waiting out the hit latency. */
-        std::deque<std::pair<Cycle, std::uint32_t>> pendingHits;
+        SlotRing<std::pair<Cycle, std::uint32_t>> pendingHits;
     };
 
     /** Stats sink for @p slot; nullptr once the launch was taken. */
@@ -342,12 +344,21 @@ class GpuMachine
     std::vector<std::unique_ptr<StreamingMultiprocessor>> sms;
     std::vector<std::unique_ptr<DramPartition>> drams;
     std::vector<L2Frontend> l2;
-    /** DRAM completions the response crossbar could not yet take. */
-    std::vector<std::deque<std::uint32_t>> respBacklog;
+    /**
+     * DRAM completions the response crossbar could not yet take.
+     * Unbounded, so they grow with pushBackGrowing() (and never shrink).
+     */
+    std::vector<SlotRing<std::uint32_t>> respBacklog;
 
     KernelStats memStats; ///< Machine-level DRAM counters.
     std::unordered_map<std::uint32_t, LaunchState> active;
     std::vector<bool> smBusy; ///< SM -> allocated to a launch.
+    /**
+     * Set bits of smBusy, maintained at launch and take: the serve and
+     * fleet frontends read busySms() every loop step (asserted against
+     * the walk in debug builds).
+     */
+    unsigned busyCount = 0;
 
     std::vector<std::unique_ptr<trace::DramProtocolChecker>> checkers;
     trace::DramProtocolChecker::Mode checkerMode =

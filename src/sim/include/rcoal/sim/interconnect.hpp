@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "rcoal/common/logging.hpp"
 #include "rcoal/common/state_arena.hpp"
 #include "rcoal/sim/access_slab.hpp"
 #include "rcoal/sim/memory_access.hpp"
@@ -49,7 +50,13 @@ class Crossbar
              std::size_t queue_depth, AccessSlab *slab = nullptr);
 
     /** True when input port @p input can take another packet. */
-    bool canInject(unsigned input) const;
+    bool
+    canInject(unsigned input) const
+    {
+        RCOAL_ASSERT(input < numInputs, "input port %u out of range",
+                     input);
+        return !inputQueues[input].full();
+    }
 
     /** Inject a packet at @p now destined for output port @p output. */
     void inject(unsigned input, unsigned output, MemoryAccess access,
@@ -83,7 +90,13 @@ class Crossbar
     void advanceIdleCycles(Cycle cycles);
 
     /** True when output port @p output has a packet to eject. */
-    bool outputReady(unsigned output) const;
+    bool
+    outputReady(unsigned output) const
+    {
+        RCOAL_ASSERT(output < numOutputs, "output port %u out of range",
+                     output);
+        return !outputQueues[output].empty();
+    }
 
     /**
      * Bit per output port, set iff that port has a packet to eject —

@@ -6,8 +6,7 @@
 #ifndef RCOAL_SIM_MEMORY_ACCESS_HPP
 #define RCOAL_SIM_MEMORY_ACCESS_HPP
 
-#include <array>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "rcoal/common/types.hpp"
@@ -36,43 +35,6 @@ inline constexpr std::size_t kNumAccessTags = 5;
 const char *accessTagName(AccessTag tag);
 
 /**
- * Fixed-capacity inline list of the PRT entry indices a load access must
- * release on completion.
- *
- * A coalesced access carries at most one PRT entry per lane of the
- * subwarp it came from, so warpSize bounds the per-access demand;
- * GpuConfig::validate() enforces warpSize <= kCapacity. Storing the
- * indices inline (instead of the std::vector this replaced) removes one
- * heap allocation per coalesced access from the memory hot path —
- * millions per serve run.
- */
-class PrtIndexList
-{
-  public:
-    /** Hard per-access bound (= the largest supported warp size). */
-    static constexpr std::size_t kCapacity = 32;
-
-    void
-    push_back(std::size_t index)
-    {
-        assert(count < kCapacity && "PRT index list overflow");
-        assert(index <= ~std::uint32_t{0} && "PRT index out of range");
-        entries[count++] = static_cast<std::uint32_t>(index);
-    }
-
-    void clear() { count = 0; }
-    bool empty() const { return count == 0; }
-    std::size_t size() const { return count; }
-
-    const std::uint32_t *begin() const { return entries.data(); }
-    const std::uint32_t *end() const { return entries.data() + count; }
-
-  private:
-    std::array<std::uint32_t, kCapacity> entries{};
-    std::uint32_t count = 0;
-};
-
-/**
  * One coalesced memory access travelling through the memory system.
  * Created by the SM's LD/ST unit, routed through the interconnect to a
  * memory partition, serviced by DRAM, and (for loads) returned to the SM.
@@ -94,7 +56,12 @@ struct MemoryAccess
     std::uint32_t launchSlot = 0;
     WarpId warpId = 0;        ///< Originating warp (global id).
     SubwarpId sid = 0;        ///< Subwarp that generated the access.
-    PrtIndexList prtIndices;  ///< PRT entries to release (loads only).
+    /**
+     * PRT entries this load holds until it completes: one per lane it
+     * serves (stores and MSHR couriers hold none). The SM models the
+     * PRT by its occupancy alone, so the count is all it releases.
+     */
+    std::uint32_t prtEntries = 0;
 
     Cycle issueCycle = 0;     ///< Core cycle the access left the LD/ST.
 
@@ -114,6 +81,13 @@ struct MemoryAccess
     Cycle spanDramStart = 0;
 #endif
 };
+
+#if !RCOAL_TRACE_ENABLED
+// Every queue hop moves a slot index, but the record itself is written
+// at issue and read at each consuming hop: keep it to one cache line.
+static_assert(sizeof(MemoryAccess) <= 64,
+              "MemoryAccess outgrew one cache line");
+#endif
 
 } // namespace rcoal::sim
 

@@ -5,8 +5,8 @@
  * Each SM hosts a set of resident warps, issues up to issueWidth warp
  * instructions per cycle (one per warp scheduler, loose round-robin),
  * and owns the LD/ST path: the RCoal coalescer, the pending request
- * table with the sid field, the optional L1/MSHR, and the injection port
- * into the request crossbar.
+ * table (modelled by its occupancy; see prtUsed), the optional L1/MSHR,
+ * and the injection port into the request crossbar.
  *
  * Warp state is split structure-of-arrays: the per-cycle issue scan
  * reads only dense parallel arrays (readyAt, pc, trace length,
@@ -22,12 +22,12 @@
 #ifndef RCOAL_SIM_SM_HPP
 #define RCOAL_SIM_SM_HPP
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "rcoal/common/state_arena.hpp"
 #include "rcoal/core/coalescer.hpp"
-#include "rcoal/core/pending_request_table.hpp"
 #include "rcoal/core/subwarp.hpp"
 #include "rcoal/mem/mshr.hpp"
 #include "rcoal/mem/sectored_cache.hpp"
@@ -97,8 +97,8 @@ class StreamingMultiprocessor
     void hardReset();
 
     /**
-     * Serialize all state that survives launch retirement (PRT, warm
-     * L1, MSHR counters, scheduler/scan residue). Only legal between
+     * Serialize all state that survives launch retirement (warm L1,
+     * MSHR counters, scheduler/scan residue). Only legal between
      * launches (no resident warps, every queue drained).
      */
     void saveState(common::ArenaWriter &w) const;
@@ -146,16 +146,22 @@ class StreamingMultiprocessor
      * True when every resident warp has retired (including the latency
      * of a trailing ALU batch) and all queues have drained.
      */
-    bool done(Cycle now) const;
+    bool
+    done(Cycle now) const
+    {
+        return unfinishedWarps == 0 && now >= busyUntil &&
+               ldstQueue.empty() && localResponses.empty() &&
+               (!mshr || mshr->occupancy() == 0);
+    }
 
     /** Number of resident warps. */
     std::size_t residentWarps() const { return warpsCold.size(); }
 
     /** Live PRT fill (entries holding an in-flight or pending lane). */
-    std::size_t prtOccupancy() const { return prt.occupancy(); }
+    std::size_t prtOccupancy() const { return prtUsed; }
 
     /** PRT capacity (config.prtEntries). */
-    std::size_t prtCapacity() const { return prt.capacity(); }
+    std::size_t prtCapacity() const { return cfg.prtEntries; }
 
     const mem::SectoredCache *l1Cache() const { return l1.get(); }
 
@@ -257,6 +263,9 @@ class StreamingMultiprocessor
     /** Run the per-scheduler issue scan and refresh scanGate/scanWake. */
     void scanWarps(Cycle now);
 
+    /** Free PRT entries. */
+    std::size_t prtFree() const { return cfg.prtEntries - prtUsed; }
+
     /** Finish one load access: free PRT, wake warp, record stats. */
     void finalizeLoad(const MemoryAccess &access, Cycle now);
 
@@ -272,7 +281,14 @@ class StreamingMultiprocessor
     std::unique_ptr<AccessSlab> ownSlab; ///< Fallback for standalone use.
 
     core::Coalescer coalescer;
-    core::PendingRequestTable prt;
+    /**
+     * PRT entries held by in-flight loads. The engine models the
+     * table (core::PendingRequestTable, Fig. 11) by its capacity
+     * alone: a warp stalls when too few entries are free, and nothing
+     * reads an entry's contents, so a count decides every stall and
+     * reopen exactly as the table would. Zero between launches.
+     */
+    std::size_t prtUsed = 0;
     /** Partition used for unprotected instructions (selective RCoal). */
     core::SubwarpPartition baselinePartition;
     SlotRing<std::uint32_t> ldstQueue; ///< Slab slots awaiting injection.
@@ -309,6 +325,12 @@ class StreamingMultiprocessor
     std::vector<std::uint32_t> pendingCount;
     std::vector<std::uint32_t> pendingPrt;
     std::vector<WarpCold> warpsCold;
+    /**
+     * Coalesce buffers of retired warps, handed to the next launch's
+     * warps so a steady stream of launches reuses their capacity
+     * instead of regrowing a buffer from empty inside tick().
+     */
+    std::vector<std::vector<core::CoalescedAccess>> spareCoalesce;
 
     /**
      * Bit k of issuableMask[sched] is set iff warp slot
@@ -375,11 +397,75 @@ class StreamingMultiprocessor
     std::uint64_t prtStallsTick = 0;
     std::uint64_t icnStallsTick = 0;
 
-    std::vector<int> laneScratch;       ///< tid -> lane index scratch.
     trace::TraceSink *traceSink = nullptr;
     spans::SpanCollector *spanCollector = nullptr;
     std::uint32_t spanNamespace = 0;
 };
+
+// The per-cycle entry points are inline: the machine calls them for
+// every SM every core cycle, and most calls return after a few flag
+// tests.
+
+inline void
+StreamingMultiprocessor::tick(Cycle now)
+{
+    tickChanged = false;
+    responseSinceTick = false;
+    scanIssued = false;
+    if (warpsCold.empty())
+        return;
+    prtStallsTick = 0;
+    icnStallsTick = 0;
+
+    if (!localResponses.empty() || !ldstQueue.empty())
+        drainLdst(now);
+
+    // A non-issuing scan is pure apart from its PRT-stall count, and
+    // that count cannot change until a warp wakes (scanGate) or an
+    // event meets a demand threshold (which resets the gate). A
+    // closed-gate tick therefore replays the count instead of walking
+    // the warps — applySkippedCycles()' rule, one cycle at a time.
+    if (now >= scanGate) {
+        scanWarps(now);
+    } else if (scanPrtStalls != 0) {
+        stats->prtStallCycles += scanPrtStalls;
+        prtStallsTick += scanPrtStalls;
+    }
+}
+
+inline Cycle
+StreamingMultiprocessor::nextEventCycle(Cycle now) const
+{
+    if (warpsCold.empty())
+        return kInvalidCycle;
+    if (tickChanged || responseSinceTick)
+        return now + 1;
+#if RCOAL_TRACE_ENABLED
+    // Stall counting emits one SmStall trace event per stalled cycle;
+    // bulk-replaying the counters would drop those events, so a live
+    // sink pins a stalling SM to per-cycle stepping.
+    if (traceSink != nullptr &&
+        (prtStallsTick != 0 || icnStallsTick != 0)) {
+        return now + 1;
+    }
+#endif
+    if (l1 && !ldstQueue.empty()) {
+        // A stalled miss head (MSHR or fill-reservation exhaustion) has
+        // no event wiring to re-arm it; pin per-cycle stepping.
+        return now + 1;
+    }
+    if (!ldstQueue.empty() && reqXbar->canInject(id))
+        return now + 1; // Head injects next cycle.
+    Cycle bound = scanWake;
+    if (!localResponses.empty())
+        bound = std::min(bound, localResponses.front().ready);
+    if (busyUntil > now) {
+        // Trailing ALU latency: done() flips exactly at busyUntil, and
+        // the machine must observe that cycle to stamp completion.
+        bound = std::min(bound, busyUntil);
+    }
+    return std::max(bound, now + 1);
+}
 
 } // namespace rcoal::sim
 

@@ -42,13 +42,6 @@ Crossbar::Crossbar(unsigned num_inputs, unsigned num_outputs,
         q.reset(queue_depth);
 }
 
-bool
-Crossbar::canInject(unsigned input) const
-{
-    RCOAL_ASSERT(input < numInputs, "input port %u out of range", input);
-    return !inputQueues[input].full();
-}
-
 void
 Crossbar::refreshHead(unsigned in, unsigned freed_output)
 {
@@ -200,14 +193,6 @@ Crossbar::advanceIdleCycles(Cycle cycles)
 {
     rrPointer = static_cast<unsigned>(
         (rrPointer + cycles % numInputs) % numInputs);
-}
-
-bool
-Crossbar::outputReady(unsigned output) const
-{
-    RCOAL_ASSERT(output < numOutputs, "output port %u out of range",
-                 output);
-    return !outputQueues[output].empty();
 }
 
 MemoryAccess

@@ -25,7 +25,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(
       nextAccessId(access_id_counter),
       slab(shared_slab),
       coalescer(config.coalesceBlockBytes),
-      prt(config.prtEntries),
       baselinePartition(core::SubwarpPartition::single(config.warpSize)),
       ldstQueue(4 * config.warpSize),
       ldstQueueCapacity(4 * config.warpSize),
@@ -74,12 +73,16 @@ void
 StreamingMultiprocessor::reset()
 {
     RCOAL_ASSERT(unfinishedWarps == 0 && ldstQueue.empty() &&
-                     localResponses.empty() &&
+                     localResponses.empty() && prtUsed == 0 &&
                      (!mshr || mshr->occupancy() == 0) &&
                      (!l1 || l1->reservedFills() == 0),
                  "SM %u reset while work is in flight", id);
     l1LookupId = ~std::uint64_t{0};
     l1LookupOutcome = mem::AccessOutcome::Hit;
+    for (WarpCold &warp : warpsCold) {
+        warp.pendingCoalesce.clear();
+        spareCoalesce.push_back(std::move(warp.pendingCoalesce));
+    }
     warpsCold.clear();
     warpReadyAt.clear();
     warpPc.clear();
@@ -108,11 +111,6 @@ StreamingMultiprocessor::reset()
     scanIssued = false;
     prtStallsTick = 0;
     icnStallsTick = 0;
-    laneScratch.clear();
-    // Canonicalize the PRT free-list: entry indices are pure IDs, so a
-    // drained table is behaviorally identical to a fresh one — making
-    // it byte-identical keeps quiescent snapshots canonical too.
-    prt.reset();
     stats = nullptr;
     launchSlot = 0;
     pendingWrites = nullptr;
@@ -138,7 +136,6 @@ StreamingMultiprocessor::saveState(common::ArenaWriter &w) const
     RCOAL_ASSERT(warpsCold.empty() && ldstQueue.empty() &&
                      localResponses.empty(),
                  "SM %u snapshot while hosting a launch", id);
-    prt.saveState(w);
     w.pod(l1LookupId);
     w.pod(static_cast<std::uint8_t>(l1LookupOutcome));
     w.pod(busyUntil);
@@ -149,7 +146,6 @@ StreamingMultiprocessor::saveState(common::ArenaWriter &w) const
     w.pod(static_cast<std::uint8_t>(scanIssued));
     w.pod(prtStallsTick);
     w.pod(icnStallsTick);
-    w.pod(static_cast<std::uint64_t>(laneScratch.size()));
     w.pod(static_cast<std::uint8_t>(l1 != nullptr));
     if (l1)
         l1->saveState(w);
@@ -164,7 +160,6 @@ StreamingMultiprocessor::restoreState(common::ArenaReader &r)
     RCOAL_ASSERT(warpsCold.empty() && ldstQueue.empty() &&
                      localResponses.empty(),
                  "SM %u restore while hosting a launch", id);
-    prt.restoreState(r);
     r.pod(l1LookupId);
     l1LookupOutcome = static_cast<mem::AccessOutcome>(r.take<std::uint8_t>());
     r.pod(busyUntil);
@@ -179,8 +174,6 @@ StreamingMultiprocessor::restoreState(common::ArenaReader &r)
     minLdstDemand = 0;
     minPrtDemand = 0;
     scanPrtStalls = 0;
-    laneScratch.assign(static_cast<std::size_t>(r.take<std::uint64_t>()),
-                       0);
     const bool had_l1 = r.take<std::uint8_t>() != 0;
     RCOAL_ASSERT(had_l1 == (l1 != nullptr),
                  "SM %u L1 presence mismatch on restore", id);
@@ -210,9 +203,14 @@ StreamingMultiprocessor::assignWarp(
     RCOAL_ASSERT(warpIndex[warp_id] == kNoSlot,
                  "warp %u assigned twice to SM %u", warp_id, id);
     warpIndex[warp_id] = static_cast<std::uint32_t>(slot);
-    warpsCold.push_back(
-        WarpCold{warp_id, warp_trace, std::move(partition), {},
-                 ~std::size_t{0}, 0});
+    std::vector<core::CoalescedAccess> coalesce_buffer;
+    if (!spareCoalesce.empty()) {
+        coalesce_buffer = std::move(spareCoalesce.back());
+        spareCoalesce.pop_back();
+    }
+    warpsCold.push_back(WarpCold{warp_id, warp_trace, std::move(partition),
+                                 std::move(coalesce_buffer),
+                                 ~std::size_t{0}, 0});
     warpReadyAt.push_back(0);
     warpPc.push_back(0);
     warpTraceLen.push_back(static_cast<std::uint32_t>(warp_trace->size()));
@@ -283,13 +281,9 @@ StreamingMultiprocessor::issueMemory(std::size_t slot,
         return false;
 
     const unsigned active_lanes = warp.pendingActiveLanes;
-    laneScratch.assign(cfg.warpSize, -1);
-    std::vector<int> &lane_of_tid = laneScratch;
-    for (std::size_t i = 0; i < instr.lanes.size(); ++i) {
-        const auto &lane = instr.lanes[i];
+    for (const auto &lane : instr.lanes) {
         RCOAL_ASSERT(lane.tid < cfg.warpSize, "lane tid %u out of range",
                      lane.tid);
-        lane_of_tid[lane.tid] = static_cast<int>(i);
     }
 
     TagStats &tag_stats = stats->tagStats(instr.tag);
@@ -316,25 +310,13 @@ StreamingMultiprocessor::issueMemory(std::size_t slot,
         access.sid = coalesced.sid;
         access.issueCycle = now;
         if (is_load) {
-            for (ThreadId tid : coalesced.threads) {
-                const int lane_idx = lane_of_tid[tid];
-                RCOAL_ASSERT(lane_idx >= 0, "coalesced unknown tid %u",
-                             tid);
-                const auto &lane =
-                    instr.lanes[static_cast<std::size_t>(lane_idx)];
-                const Addr lane_block = coalescer.blockAlign(lane.addr);
-                const std::uint32_t offset =
-                    lane_block == coalesced.blockAddr
-                        ? static_cast<std::uint32_t>(lane.addr -
-                                                     coalesced.blockAddr)
-                        : 0; // Lane straddles into this block.
-                const auto entry =
-                    prt.allocate(tid, coalesced.blockAddr, offset,
-                                 lane.size, coalesced.sid);
-                RCOAL_ASSERT(entry.has_value(),
-                             "PRT full despite reservation check");
-                access.prtIndices.push_back(*entry);
-            }
+            // One PRT entry per lane served (Fig. 11). Only the count
+            // shapes timing, so the entries' contents are not modelled.
+            access.prtEntries =
+                static_cast<std::uint32_t>(coalesced.threads.size());
+            prtUsed += access.prtEntries;
+            RCOAL_ASSERT(prtUsed <= cfg.prtEntries,
+                         "PRT full despite reservation check");
             ++warpOutstanding[slot];
         } else {
             ++*pendingWrites;
@@ -367,7 +349,7 @@ StreamingMultiprocessor::memoryStalled(std::size_t slot,
         minLdstDemand = std::min(minLdstDemand, pendingCount[slot]);
         return true;
     }
-    if (pendingLoad[slot] != 0 && prt.freeEntries() < pendingPrt[slot]) {
+    if (pendingLoad[slot] != 0 && prtFree() < pendingPrt[slot]) {
         minPrtDemand = std::min(minPrtDemand, pendingPrt[slot]);
         ++stats->prtStallCycles;
         ++prtStallsTick;
@@ -498,7 +480,7 @@ StreamingMultiprocessor::drainLdst(Cycle now)
                 RCOAL_TRACE(traceSink, SmStall, now, 1, head.warpId, 0);
                 return;
             }
-            // The MSHR keeps a copy (with the PRT indices); the slab
+            // The MSHR keeps a copy (with the PRT count); the slab
             // record becomes the courier travelling to memory.
             mshr->allocate(head.blockAddr, head);
             l1->reserve();
@@ -506,7 +488,7 @@ StreamingMultiprocessor::drainLdst(Cycle now)
             tickChanged = true;
             ldstPopped();
             const unsigned dest = map->partitionOf(head.blockAddr);
-            head.prtIndices.clear(); // PRT freed via the MSHR entry.
+            head.prtEntries = 0; // PRT freed via the MSHR entry.
 #if RCOAL_TRACE_ENABLED
             head.spanXbarInject = now;
 #endif
@@ -535,32 +517,6 @@ StreamingMultiprocessor::drainLdst(Cycle now)
     ldstQueue.pop_front();
     tickChanged = true;
     ldstPopped();
-}
-
-void
-StreamingMultiprocessor::tick(Cycle now)
-{
-    tickChanged = false;
-    responseSinceTick = false;
-    scanIssued = false;
-    if (warpsCold.empty())
-        return;
-    prtStallsTick = 0;
-    icnStallsTick = 0;
-
-    drainLdst(now);
-
-    // A non-issuing scan is pure apart from its PRT-stall count, and
-    // that count cannot change until a warp wakes (scanGate) or an
-    // event meets a demand threshold (which resets the gate). A
-    // closed-gate tick therefore replays the count instead of walking
-    // the warps — applySkippedCycles()' rule, one cycle at a time.
-    if (now >= scanGate) {
-        scanWarps(now);
-    } else if (scanPrtStalls != 0) {
-        stats->prtStallCycles += scanPrtStalls;
-        prtStallsTick += scanPrtStalls;
-    }
 }
 
 void
@@ -665,40 +621,6 @@ StreamingMultiprocessor::scanWarps(Cycle now)
     scanWake = wake;
 }
 
-Cycle
-StreamingMultiprocessor::nextEventCycle(Cycle now) const
-{
-    if (warpsCold.empty())
-        return kInvalidCycle;
-    if (tickChanged || responseSinceTick)
-        return now + 1;
-#if RCOAL_TRACE_ENABLED
-    // Stall counting emits one SmStall trace event per stalled cycle;
-    // bulk-replaying the counters would drop those events, so a live
-    // sink pins a stalling SM to per-cycle stepping.
-    if (traceSink != nullptr &&
-        (prtStallsTick != 0 || icnStallsTick != 0)) {
-        return now + 1;
-    }
-#endif
-    if (l1 && !ldstQueue.empty()) {
-        // A stalled miss head (MSHR or fill-reservation exhaustion) has
-        // no event wiring to re-arm it; pin per-cycle stepping.
-        return now + 1;
-    }
-    if (!ldstQueue.empty() && reqXbar->canInject(id))
-        return now + 1; // Head injects next cycle.
-    Cycle bound = scanWake;
-    if (!localResponses.empty())
-        bound = std::min(bound, localResponses.front().ready);
-    if (busyUntil > now) {
-        // Trailing ALU latency: done() flips exactly at busyUntil, and
-        // the machine must observe that cycle to stamp completion.
-        bound = std::min(bound, busyUntil);
-    }
-    return std::max(bound, now + 1);
-}
-
 void
 StreamingMultiprocessor::applySkippedCycles(Cycle cycles)
 {
@@ -713,8 +635,10 @@ StreamingMultiprocessor::applySkippedCycles(Cycle cycles)
 void
 StreamingMultiprocessor::finalizeLoad(const MemoryAccess &access, Cycle now)
 {
-    for (std::size_t idx : access.prtIndices)
-        prt.release(idx);
+    RCOAL_ASSERT(access.prtEntries <= prtUsed,
+                 "SM %u releases %u PRT entries with %zu held", id,
+                 access.prtEntries, prtUsed);
+    prtUsed -= access.prtEntries;
     RCOAL_ASSERT(access.warpId < warpIndex.size() &&
                      warpIndex[access.warpId] != kNoSlot,
                  "response for unknown warp %u", access.warpId);
@@ -737,14 +661,14 @@ StreamingMultiprocessor::finalizeLoad(const MemoryAccess &access, Cycle now)
             spanNamespace, access.launchSlot, access.warpId,
             spans::SpanStage::PrtResidency,
             static_cast<std::uint16_t>(id), access.issueCycle, now,
-            static_cast<std::uint32_t>(access.prtIndices.size()),
+            access.prtEntries,
             access.tag == AccessTag::LastRoundLookup);
     }
 #endif
     // Rescan only if this completion can unblock a warp: enough PRT
     // entries for the smallest PRT-blocked demand, or the warp's last
     // load back (a waitAllLoads ALU instruction may now issue).
-    if (prt.freeEntries() >= minPrtDemand || warpOutstanding[slot] == 0)
+    if (prtFree() >= minPrtDemand || warpOutstanding[slot] == 0)
         scanGate = 0;
 }
 
@@ -773,18 +697,6 @@ StreamingMultiprocessor::deliverResponseSlot(std::uint32_t slot, Cycle now)
     }
     finalizeLoad(access, now);
     slab->free(slot);
-}
-
-bool
-StreamingMultiprocessor::done(Cycle now) const
-{
-    if (unfinishedWarps > 0 || now < busyUntil)
-        return false;
-    if (!ldstQueue.empty() || !localResponses.empty())
-        return false;
-    if (mshr && mshr->occupancy() > 0)
-        return false;
-    return true;
 }
 
 } // namespace rcoal::sim

@@ -7,96 +7,25 @@
  * the SM calls Coalescer::coalesceInto() for every warp memory
  * instruction, and the serve scheduler calls countAccesses() for every
  * last-round lookup of every launch, so all four must stay off the
- * heap. This
- * executable replaces the global operator new with a counting one
- * (hence its own binary: the replacement is process-wide) and asserts
- * that none of them allocates.
+ * heap. The binary counts allocations through a replaced global
+ * operator new (heap_counter.hpp).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc/heap_counter.hpp"
 #include "rcoal/attack/correlation_attack.hpp"
 #include "rcoal/core/coalescer.hpp"
 #include "rcoal/core/partitioner.hpp"
 
-namespace {
-
-std::size_t heapAllocations = 0;
-
-void *
-countedAlloc(std::size_t size, std::size_t align)
-{
-    ++heapAllocations;
-    size = size == 0 ? 1 : size;
-    void *p = align <= alignof(std::max_align_t)
-                  ? std::malloc(size)
-                  : std::aligned_alloc(align, (size + align - 1) / align *
-                                                  align);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    return countedAlloc(size, alignof(std::max_align_t));
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return countedAlloc(size, alignof(std::max_align_t));
-}
-
-void *
-operator new(std::size_t size, std::align_val_t align)
-{
-    return countedAlloc(size, static_cast<std::size_t>(align));
-}
-
-void *
-operator new[](std::size_t size, std::align_val_t align)
-{
-    return countedAlloc(size, static_cast<std::size_t>(align));
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
-
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
 namespace rcoal {
 namespace {
 
-/** Keeps a value observable so the measured calls cannot be elided. */
-template <typename T>
-void
-keep(const T &value)
-{
-    asm volatile("" : : "g"(&value) : "memory");
-}
+using test::heapAllocations;
+using test::keep;
 
 TEST(SubwarpLayerAllocations, CounterSeesHeapAllocations)
 {

@@ -2,10 +2,11 @@
  * @file
  * Golden digests of Coalescer::coalesceInto() and countAccesses().
  *
- * The simulator turns every coalesced access into one PRT/crossbar/DRAM
- * transaction in emission order, and the PRT releases lanes in list
- * order, so the exact output (block, sid, lanes in order) is part of
- * the simulated timing. Each cell folds the outputs of many warp
+ * The simulator turns every coalesced access into one crossbar/DRAM
+ * transaction in emission order, holding one PRT entry per listed lane,
+ * so the exact output (block, sid, lanes in order) is pinned: order
+ * and lane counts are simulated timing, and the lists feed the
+ * functional PRT model. Each cell folds the outputs of many warp
  * instructions into one FNV-1a digest: access count, then per access
  * its block address, sid and lane list, then countAccesses().
  */

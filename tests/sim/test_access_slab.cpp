@@ -25,7 +25,7 @@ makeAccess(std::uint64_t id)
     access.id = id;
     access.blockAddr = 0x1000 + id * 64;
     access.bytes = 64;
-    access.prtIndices.push_back(static_cast<std::size_t>(id));
+    access.prtEntries = static_cast<std::uint32_t>(id);
     return access;
 }
 
@@ -136,6 +136,35 @@ TEST(SlotRing, RingResetAndClearDiscardContents)
     EXPECT_EQ(ring.front(), 0u);
 }
 
+TEST(SlotRing, RingGrowsOnFullPushAndNeverShrinks)
+{
+    // An unbounded queue starts empty, grows across a wrapped window
+    // and keeps FIFO order; its capacity survives draining.
+    SlotRing<std::uint32_t> ring;
+    EXPECT_EQ(ring.capacity(), 0u);
+    std::uint32_t next = 0;
+    std::uint32_t expect = 0;
+    for (int k = 0; k < 6; ++k)
+        ring.pushBackGrowing(next++);
+    for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(ring.front(), expect++);
+        ring.pop_front();
+    }
+    for (int k = 0; k < 40; ++k) // Wraps, then grows past 8.
+        ring.pushBackGrowing(next++);
+    ASSERT_EQ(ring.size(), 42u);
+    const std::size_t grown = ring.capacity();
+    EXPECT_GE(grown, 42u);
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        EXPECT_EQ(ring[i], expect + i);
+    while (!ring.empty()) {
+        EXPECT_EQ(ring.front(), expect++);
+        ring.pop_front();
+    }
+    EXPECT_EQ(expect, next);
+    EXPECT_EQ(ring.capacity(), grown);
+}
+
 // ---------------------------------------------------------------------
 // AccessSlab
 
@@ -150,7 +179,7 @@ TEST(AccessSlab, SlabAllocateAtFreeRoundTrip)
     EXPECT_EQ(slab.liveCount(), 2u);
     EXPECT_EQ(slab.at(a).id, 10u);
     EXPECT_EQ(slab.at(b).id, 11u);
-    EXPECT_EQ(slab.at(a).prtIndices.size(), 1u);
+    EXPECT_EQ(slab.at(a).prtEntries, 10u);
 
     slab.free(a);
     slab.free(b);

@@ -110,13 +110,14 @@ TEST(GpuConfigDeathTest, RejectsNonPowerOfTwoWarpSize)
 
 TEST(GpuConfigDeathTest, RejectsWarpSizeBeyondInlinePrtCapacity)
 {
-    // MemoryAccess carries its PRT release indices in a fixed inline
-    // array sized for one lane per warp thread; a wider warp must be
-    // rejected up front rather than overflowing on the hot path.
+    // Subwarp partitions and coalesced lane lists (whose sizes are the
+    // per-access PRT demand) are inline arrays sized for one lane per
+    // warp thread; a wider warp must be rejected up front rather than
+    // overflowing on the hot path.
     GpuConfig cfg = GpuConfig::paperBaseline();
     cfg.warpSize = 64;
     EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
-                "inline PRT index capacity");
+                "inline lane capacity");
 }
 
 TEST(GpuConfigDeathTest, RejectsTooManyBanks)

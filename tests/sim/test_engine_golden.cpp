@@ -20,6 +20,11 @@
  * digest pins the completion order under a deep backlog per backend,
  * and under RCOAL_TRACE a digest of the SM and DRAM trace sinks pins
  * the per-cycle SmStall events of the PRT-saturated cell.
+ *
+ * The engine models the PRT by its occupancy alone, so the cells also
+ * check that every launch gives back all the entries it reserved, and
+ * one test checks the per-instruction count against the functional
+ * Fig. 11 table (core::PendingRequestTable).
  */
 
 #include <algorithm>
@@ -32,9 +37,13 @@
 #include <gtest/gtest.h>
 
 #include "rcoal/common/rng.hpp"
+#include "rcoal/core/coalescer.hpp"
+#include "rcoal/core/partitioner.hpp"
+#include "rcoal/core/pending_request_table.hpp"
 #include "rcoal/mem/dram_backend.hpp"
 #include "rcoal/sim/dram.hpp"
 #include "rcoal/sim/gpu_machine.hpp"
+#include "rcoal/sim/kernel.hpp"
 #include "rcoal/telemetry/prometheus.hpp"
 #include "rcoal/telemetry/registry.hpp"
 #include "rcoal/telemetry/sampler.hpp"
@@ -157,14 +166,16 @@ runCell(const Cell &cell, bool skipping, trace::Tracer *tracer = nullptr)
     struct Running
     {
         GpuMachine::LaunchId id;
+        SmRange range;
         bool taken;
     };
     std::vector<Running> launches;
     for (unsigned g = 0; g < 3; ++g) {
+        const SmRange gang{g * kGangSms, kGangSms};
         launches.push_back(
-            {machine.launchStream(*batches[g], SmRange{g * kGangSms, kGangSms},
+            {machine.launchStream(*batches[g], gang,
                                   /*rng_stream_index=*/g + 1),
-             false});
+             gang, false});
     }
 
     Fnv h;
@@ -177,6 +188,10 @@ runCell(const Cell &cell, bool skipping, trace::Tracer *tracer = nullptr)
             h.u64(i);
             h.u64(machine.finishCycle(launches[i].id));
             hashStats(h, machine.take(launches[i].id));
+            // Every load released the PRT entries it reserved, MSHR-
+            // merged ones included.
+            EXPECT_EQ(machine.prtOccupancy(launches[i].range), 0u)
+                << cell.name() << ": launch " << i;
             launches[i].taken = true;
             ++taken;
             if (i == 0) {
@@ -185,7 +200,7 @@ runCell(const Cell &cell, bool skipping, trace::Tracer *tracer = nullptr)
                     {machine.launchStream(*batches[3],
                                           SmRange{0, kGangSms},
                                           /*rng_stream_index=*/4),
-                     false});
+                     SmRange{0, kGangSms}, false});
             }
         }
         if (!machine.cycleSkippingEnabled() || taken == kBatchLines.size())
@@ -195,6 +210,7 @@ runCell(const Cell &cell, bool skipping, trace::Tracer *tracer = nullptr)
         if (target > machine.now() + 1)
             machine.skipTo(target);
     }
+    EXPECT_EQ(machine.prtOccupancy(), 0u) << cell.name();
     h.u64(machine.now());
     sampler.collect(machine.now());
     h.str(telemetry::renderPrometheus(registry));
@@ -332,6 +348,62 @@ TEST(EngineGolden, PrtSaturatedCellDigest)
 TEST(EngineGolden, RefreshCellDigest)
 {
     expectCell(refreshCell(), kRefreshGolden);
+}
+
+TEST(EngineGolden, PrtCountMatchesFunctionalTableOnStraddlingLanes)
+{
+    // CoalescerGolden's straddling-lane fixture: 8-byte requests, half
+    // of them 4 bytes before a 64-byte block boundary, so a lane served
+    // by two accesses holds two PRT entries.
+    GpuConfig cfg = GpuConfig::paperBaseline();
+    cfg.policy = core::CoalescingPolicy::rss(8, true);
+    cfg.coalesceBlockBytes = 64;
+    cfg.validate();
+    const core::SubwarpPartitioner partitioner(cfg.policy, cfg.warpSize);
+    const core::Coalescer coalescer(cfg.coalesceBlockBytes);
+    std::vector<core::CoalescedAccess> out;
+    GpuMachine machine(cfg);
+    Rng rng(8);
+    std::size_t straddling_entries = 0;
+    for (std::uint64_t stream = 1; stream <= 200; ++stream) {
+        std::vector<core::LaneRequest> lanes(cfg.warpSize);
+        for (ThreadId t = 0; t < cfg.warpSize; ++t) {
+            const Addr block = 0x8000 + 64 * rng.below(24);
+            const Addr addr = rng.below(2) ? block + 60 : block + 8;
+            lanes[t] = {t, addr, 8, true};
+        }
+        // The functional table, driven by the coalesce of the partition
+        // the machine draws for this launch's only warp.
+        Rng launch_rng = Rng::stream(cfg.seed, stream);
+        coalescer.coalesceInto(lanes, partitioner.draw(launch_rng), out);
+        core::PendingRequestTable table(cfg.prtEntries);
+        std::size_t allocations = 0;
+        for (const core::CoalescedAccess &access : out) {
+            for (const ThreadId tid : access.threads) {
+                const core::LaneRequest &lane = lanes[tid];
+                const std::uint32_t offset =
+                    coalescer.blockAlign(lane.addr) == access.blockAddr
+                        ? static_cast<std::uint32_t>(lane.addr -
+                                                     access.blockAddr)
+                        : 0;
+                ASSERT_TRUE(table.allocate(tid, access.blockAddr, offset,
+                                           lane.size, access.sid));
+                ++allocations;
+            }
+        }
+        straddling_entries += allocations - cfg.warpSize;
+
+        const VectorKernel kernel(
+            {{WarpInstruction::load(lanes, AccessTag::Generic)}});
+        const auto id = machine.launchStream(kernel, SmRange{0, 1}, stream);
+        machine.tick(); // The load issues on the launch's first cycle.
+        EXPECT_EQ(machine.prtOccupancy(SmRange{0, 1}), allocations)
+            << "launch " << stream;
+        machine.runUntilDone(id);
+        machine.take(id);
+        EXPECT_EQ(machine.prtOccupancy(), 0u) << "launch " << stream;
+    }
+    EXPECT_GT(straddling_entries, 0u);
 }
 
 #if RCOAL_TRACE_ENABLED
