@@ -24,6 +24,7 @@
 #include "rcoal/sim/gpu_machine.hpp"
 #include "rcoal/workloads/aes_kernel.hpp"
 #include "support/bench_support.hpp"
+#include "support/slab_ports.hpp"
 
 namespace {
 
@@ -149,7 +150,8 @@ BM_DramPartitionDrain(benchmark::State &state)
     Rng rng(4);
     for (auto _ : state) {
         sim::KernelStats stats;
-        sim::DramPartition dram(cfg, 0, &stats);
+        test::SlabPorts ports(2 * cfg.dramQueueDepth);
+        sim::DramPartition dram(cfg, 0, &stats, ports.slab);
         Cycle now = 0;
         unsigned completed = 0;
         unsigned injected = 0;
@@ -158,13 +160,13 @@ BM_DramPartitionDrain(benchmark::State &state)
                 sim::MemoryAccess access;
                 access.id = injected;
                 access.blockAddr = (rng.below(512) * 6) * 256;
-                dram.enqueue(access, mapping.decode(access.blockAddr),
-                             now);
+                ports.enqueue(dram, access,
+                              mapping.decode(access.blockAddr));
                 ++injected;
             }
             dram.tick(++now);
-            while (dram.hasCompleted(now)) {
-                dram.popCompleted(now);
+            while (dram.hasCompleted()) {
+                ports.takeCompleted(dram);
                 ++completed;
             }
         }

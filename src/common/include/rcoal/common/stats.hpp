@@ -99,17 +99,6 @@ double stddevPopulationOf(std::span<const double> x);
 double stddevSampleOf(std::span<const double> x);
 
 /**
- * Historical alias for stddevPopulationOf(). It used to guard
- * `size() < 2` like a sample statistic while dividing by n like a
- * population one; the convention is now explicit in the name above.
- */
-inline double
-stddevOf(std::span<const double> x)
-{
-    return stddevPopulationOf(x);
-}
-
-/**
  * Expected number of samples for a successful correlation attack with
  * success rate @p alpha, given the correlation @p rho between the
  * measurement and estimation vectors (Eq. 4; Mangard's derivation).

@@ -15,7 +15,7 @@ namespace rcoal::sim {
 
 DramPartition::DramPartition(const GpuConfig &config, unsigned partition_id,
                              KernelStats *kernel_stats,
-                             AccessSlab *shared_slab)
+                             AccessSlab &shared_slab)
     : id(partition_id),
       bt(mem::makeDramBackend(config.dramBackend)->timing(config)),
       queueDepth(config.dramQueueDepth),
@@ -27,10 +27,6 @@ DramPartition::DramPartition(const GpuConfig &config, unsigned partition_id,
       refreshEnabled(config.refreshEnabled),
       nextRefreshAt(bt.base.tREFI)
 {
-    if (slab == nullptr) {
-        ownSlab = std::make_unique<AccessSlab>(2 * queueDepth);
-        slab = ownSlab.get();
-    }
     RCOAL_ASSERT(stats != nullptr, "DramPartition requires a stats sink");
     RCOAL_ASSERT(bt.bankGroups > 0 && bt.pseudoChannels > 0,
                  "backend must report positive bankGroups/pseudoChannels");
@@ -45,6 +41,9 @@ DramPartition::DramPartition(const GpuConfig &config, unsigned partition_id,
     inFlight.resize(bt.pseudoChannels);
     for (SlotRing<Request> &fifo : inFlight)
         fifo.reset(queueDepth);
+    // A queue's worth of completions: the machine drains them every
+    // core cycle, so only a caller that stops popping grows the ring.
+    completed.reset(queueDepth);
 }
 
 bool
@@ -58,19 +57,17 @@ DramPartition::maybeRefresh(Cycle now)
 {
     if (!refreshDue(now))
         return false;
-    if (!legacyTiming) {
-        // A due refresh waits until the partition is quiescent: every
-        // data bus drained and every open bank past tRAS (closing a row
-        // earlier would violate it). The wait is bounded because a due
-        // refresh also blocks new ACT and column commands.
-        for (Cycle busy : busFreeAt) {
-            if (now < busy)
-                return false;
-        }
-        for (const Bank &bank : banks) {
-            if (bank.openRow != -1 && now < bank.prechargeAllowed)
-                return false;
-        }
+    // A due refresh waits until the partition is quiescent: every data
+    // bus drained and every open bank past tRAS (closing a row earlier
+    // would violate it). The wait is bounded because a due refresh also
+    // blocks new ACT and column commands.
+    for (Cycle busy : busFreeAt) {
+        if (now < busy)
+            return false;
+    }
+    for (const Bank &bank : banks) {
+        if (bank.openRow != -1 && now < bank.prechargeAllowed)
+            return false;
     }
     if (checker != nullptr)
         checker->onRefresh(now);
@@ -89,18 +86,8 @@ DramPartition::maybeRefresh(Cycle now)
 }
 
 void
-DramPartition::enqueue(MemoryAccess access, const DramLocation &loc,
-                       Cycle now)
+DramPartition::enqueueSlot(std::uint32_t slot, const DramLocation &loc)
 {
-    enqueueSlot(slab->allocate(std::move(access)), loc, now);
-}
-
-void
-DramPartition::enqueueSlot(std::uint32_t slot, const DramLocation &loc,
-                           Cycle /*now*/)
-{
-    // FR-FCFS age is the enqueue order, so the arrival cycle itself is
-    // not kept.
     RCOAL_ASSERT(canAccept(), "enqueue on full DRAM queue (partition %u)",
                  id);
     RCOAL_ASSERT(loc.partition == id,
@@ -109,7 +96,6 @@ DramPartition::enqueueSlot(std::uint32_t slot, const DramLocation &loc,
     Request req;
     req.slot = slot;
     req.loc = loc;
-    req.seq = nextSeq++;
     queue.push_back(req);
     sleepUntil = 0; // New work: the no-op-tick proof no longer holds.
 }
@@ -138,7 +124,7 @@ void
 DramPartition::issueColumnAt(Request &req, Cycle now)
 {
 #if RCOAL_TRACE_ENABLED
-    markServiceStart(*slab, req.slot, now);
+    markServiceStart(slab, req.slot, now);
 #endif
     Bank &bank = banks[req.loc.bank];
     const unsigned group = groupOf(req.loc.bank);
@@ -159,19 +145,13 @@ DramPartition::issueColumnAt(Request &req, Cycle now)
     }
     RCOAL_TRACE(traceSink, DramRead, now, req.loc.bank, req.loc.row,
                 burst_start);
-    if (legacyTiming) {
-        // Pre-fix: plain assignment, nothing keeps the row open until
-        // the burst drains, and the bank-group windows go untracked.
-        bank.nextRead = now + bt.base.tCCD;
-    } else {
-        raiseTo(bank.nextRead, now + bt.base.tCCD);
-        // Read-to-precharge: the row must stay open (and refresh
-        // must hold off) until the data burst has drained.
-        raiseTo(bank.prechargeAllowed, burst_start + bt.burstCycles);
-        if (bt.bankGroupAware) {
-            raiseTo(nextColumnGroup[group], now + bt.tCCDLong);
-            raiseTo(nextColumnAnyPc[pc], now + bt.base.tCCD);
-        }
+    raiseTo(bank.nextRead, now + bt.base.tCCD);
+    // Read-to-precharge: the row must stay open (and refresh must hold
+    // off) until the data burst has drained.
+    raiseTo(bank.prechargeAllowed, burst_start + bt.burstCycles);
+    if (bt.bankGroupAware) {
+        raiseTo(nextColumnGroup[group], now + bt.tCCDLong);
+        raiseTo(nextColumnAnyPc[pc], now + bt.base.tCCD);
     }
     if (req.neededActivate) {
         ++stats->dramRowMisses;
@@ -182,40 +162,11 @@ DramPartition::issueColumnAt(Request &req, Cycle now)
     }
 }
 
-bool
-DramPartition::tryIssueColumn(Cycle now)
-{
-    // A due refresh owns the command slot: no new column commands until
-    // it has fired (the pre-fix model kept issuing and the refresh then
-    // tore down in-flight state).
-    if (!legacyTiming && refreshDue(now))
-        return false;
-    // FR-FCFS: the oldest request whose row is open and whose bank/bus
-    // constraints are satisfied wins.
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        Request &req = queue[i];
-        const Bank &bank = banks[req.loc.bank];
-        if (bank.openRow != static_cast<std::int64_t>(req.loc.row))
-            continue;
-        if (now < bank.nextRead)
-            continue;
-        // Bank-group windows (zero unless the backend is group-aware).
-        if (now < nextColumnGroup[groupOf(req.loc.bank)] ||
-            now < nextColumnAnyPc[pcOf(req.loc.bank)]) {
-            continue;
-        }
-        issueColumnAt(req, now);
-        queue.removeAt(i);
-        return true;
-    }
-    return false;
-}
-
 void
 DramPartition::issueActivateAt(Request &req, Cycle now)
 {
 #if RCOAL_TRACE_ENABLED
-    markServiceStart(*slab, req.slot, now);
+    markServiceStart(slab, req.slot, now);
 #endif
     Bank &bank = banks[req.loc.bank];
     const unsigned group = groupOf(req.loc.bank);
@@ -224,20 +175,12 @@ DramPartition::issueActivateAt(Request &req, Cycle now)
     RCOAL_TRACE(traceSink, DramActivate, now, req.loc.bank, req.loc.row,
                 0);
     bank.openRow = static_cast<std::int64_t>(req.loc.row);
-    if (legacyTiming) {
-        // Pre-fix: only nextRead was monotone.
-        bank.nextRead = std::max(bank.nextRead, now + bt.base.tRCD);
-        bank.prechargeAllowed = now + bt.base.tRAS;
-        bank.nextActivate = now + bt.base.tRC;
-        nextActivateAny = now + bt.base.tRRD;
-    } else {
-        raiseTo(bank.nextRead, now + bt.base.tRCD);
-        raiseTo(bank.prechargeAllowed, now + bt.base.tRAS);
-        raiseTo(bank.nextActivate, now + bt.base.tRC);
-        raiseTo(nextActivateAny, now + bt.base.tRRD);
-        if (bt.bankGroupAware)
-            raiseTo(nextActivateGroup[group], now + bt.tRRDLong);
-    }
+    raiseTo(bank.nextRead, now + bt.base.tRCD);
+    raiseTo(bank.prechargeAllowed, now + bt.base.tRAS);
+    raiseTo(bank.nextActivate, now + bt.base.tRC);
+    raiseTo(nextActivateAny, now + bt.base.tRRD);
+    if (bt.bankGroupAware)
+        raiseTo(nextActivateGroup[group], now + bt.tRRDLong);
     ++stats->dramActivates;
     ++bankStats[req.loc.bank].activates;
     // Row-hit accounting: only the request this ACT was issued for
@@ -250,7 +193,7 @@ void
 DramPartition::issuePrechargeAt(Request &req, Cycle now)
 {
 #if RCOAL_TRACE_ENABLED
-    markServiceStart(*slab, req.slot, now);
+    markServiceStart(slab, req.slot, now);
 #endif
     Bank &bank = banks[req.loc.bank];
     if (checker != nullptr) {
@@ -267,67 +210,20 @@ DramPartition::issuePrechargeAt(Request &req, Cycle now)
 }
 
 bool
-DramPartition::tryIssueActivate(Cycle now)
-{
-    if (now < nextActivateAny)
-        return false;
-    // A due refresh is about to close every row; opening a new one now
-    // would immediately violate tRAS when it fires.
-    if (!legacyTiming && refreshDue(now))
-        return false;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        Request &req = queue[i];
-        const Bank &bank = banks[req.loc.bank];
-        if (bank.openRow != -1)
-            continue;
-        if (now < bank.nextActivate)
-            continue;
-        // Long same-group ACT window (zero unless group-aware).
-        if (now < nextActivateGroup[groupOf(req.loc.bank)])
-            continue;
-        issueActivateAt(req, now);
-        return true;
-    }
-    return false;
-}
-
-bool
-DramPartition::tryIssuePrecharge(Cycle now)
-{
-    // One pass to find which banks still have pending work for their
-    // open row (keeps the precharge scan linear in the queue length).
-    std::uint64_t open_row_wanted = 0; // bit per bank
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        const Request &req = queue[i];
-        const Bank &bank = banks[req.loc.bank];
-        if (bank.openRow == static_cast<std::int64_t>(req.loc.row))
-            open_row_wanted |= std::uint64_t{1} << req.loc.bank;
-    }
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        Request &req = queue[i];
-        const Bank &bank = banks[req.loc.bank];
-        if (bank.openRow == -1 ||
-            bank.openRow == static_cast<std::int64_t>(req.loc.row)) {
-            continue;
-        }
-        if (now < bank.prechargeAllowed)
-            continue;
-        // Keep the row open while older work still wants it (FR-FCFS
-        // services those first anyway).
-        if (open_row_wanted & (std::uint64_t{1} << req.loc.bank))
-            continue;
-        issuePrechargeAt(req, now);
-        return true;
-    }
-    return false;
-}
-
-bool
 DramPartition::issueCommands(Cycle now)
 {
-    // Fused FR-FCFS pass (non-legacy only): one walk in age order picks
-    // the same column and ACT winners as the per-class scans — proofs
-    // that the fusion is exact:
+    // FR-FCFS, one command of each class per cycle, issued column, then
+    // ACT, then precharge, each class's winner the oldest request that
+    // passes its checks against the state the earlier issues left:
+    //   - column: the bank's open row is the request's, and the bank
+    //     and bank-group/pseudo-channel column windows have passed;
+    //   - ACT: the bank is precharged and the bank, tRRD and group ACT
+    //     windows have passed;
+    //   - precharge: the bank's open row conflicts, tRAS and the read
+    //     burst have drained, and no queued request wants the open row.
+    // A due refresh blocks column and ACT. One walk in age order picks
+    // the column and ACT winners of those three scans — proofs that the
+    // fusion is exact:
     //   - The ACT winner is independent of the column issue: a column
     //     issue changes no field the ACT scan reads (openRow,
     //     nextActivate, the ACT windows), and the column winner itself
@@ -449,15 +345,6 @@ DramPartition::tick(Cycle now)
     const bool refreshed = maybeRefresh(now);
     worked |= refreshed;
 
-    if (legacyTiming) {
-        // The legacy seam keeps the historical per-class scans (and
-        // issues through a due refresh); no memo, no fusion.
-        tryIssueColumn(now);
-        tryIssueActivate(now);
-        tryIssuePrecharge(now);
-        return;
-    }
-
     // One command of each class per cycle approximates the command bus.
     // A refresh that just fired closed every bank and pushed all their
     // deadlines past now, so no command can legally issue this cycle.
@@ -474,24 +361,16 @@ DramPartition::tick(Cycle now)
 void
 DramPartition::retireBursts(Cycle now)
 {
-    const std::size_t first = completed.size();
     Cycle next_retire = kInvalidCycle;
     for (SlotRing<Request> &fifo : inFlight) {
         while (!fifo.empty() && fifo.front().completion <= now) {
-            completed.push_back(fifo.front());
+            completed.pushBackGrowing(fifo.front().slot);
             fifo.pop_front();
             --inFlightCount;
         }
         if (!fifo.empty())
             next_retire = std::min(next_retire, fifo.front().completion);
     }
-    // Bursts finishing on one tick leave in arrival order, whichever
-    // channel carried them. On HBM2 both channels can finish on one
-    // tick when a bus backs up, which the legacy-timing seam allows.
-    std::sort(completed.begin() + static_cast<std::ptrdiff_t>(first),
-              completed.end(), [](const Request &a, const Request &b) {
-                  return a.seq < b.seq;
-              });
     earliestCompletion = next_retire;
 }
 
@@ -500,8 +379,6 @@ DramPartition::nextEventCycle(Cycle now) const
 {
     if (idle() && !refreshEnabled)
         return kInvalidCycle;
-    if (legacyTiming)
-        return now + 1; // Test seam: no skipping guarantees.
 
     Cycle bound = workBound(now);
     // The machine drains `completed` on every one of its ticks, so a
@@ -546,7 +423,7 @@ DramPartition::workBound(Cycle now) const
     consider(earliestCompletion);
 
     const bool commands_blocked = refreshDue(now);
-    std::uint64_t open_row_wanted = 0; // Same mask tryIssuePrecharge uses.
+    std::uint64_t open_row_wanted = 0; // Same mask issueCommands uses.
     for (std::size_t i = 0; i < queue.size(); ++i) {
         const Request &req = queue[i];
         const Bank &bank = banks[req.loc.bank];
@@ -579,23 +456,15 @@ DramPartition::workBound(Cycle now) const
     return bound;
 }
 
-MemoryAccess
-DramPartition::popCompleted(Cycle now)
-{
-    return slab->take(popCompletedSlot(now));
-}
-
 std::uint32_t
-DramPartition::popCompletedSlot(Cycle now)
+DramPartition::popCompletedSlot()
 {
-    for (auto it = completed.begin(); it != completed.end(); ++it) {
-        if (it->completion <= now) {
-            const std::uint32_t slot = it->slot;
-            completed.erase(it);
-            return slot;
-        }
-    }
-    panic("popCompleted with nothing completed (partition %u)", id);
+    RCOAL_ASSERT(hasCompleted(),
+                 "popCompletedSlot with nothing completed (partition %u)",
+                 id);
+    const std::uint32_t slot = completed.front();
+    completed.pop_front();
+    return slot;
 }
 
 void
@@ -614,7 +483,6 @@ DramPartition::reset()
     nextRefreshAt = bt.base.tREFI;
     sleepUntil = 0;
     earliestCompletion = kInvalidCycle;
-    nextSeq = 0;
 }
 
 void
@@ -673,7 +541,6 @@ DramPartition::restoreState(common::ArenaReader &r)
     r.pod(nextRefreshAt);
     sleepUntil = 0; // Derived memo; never part of a snapshot.
     earliestCompletion = kInvalidCycle; // Idle: nothing serviced.
-    nextSeq = 0;
     RCOAL_ASSERT(busFreeAt.size() == bt.pseudoChannels &&
                      nextColumnGroup.size() == bt.bankGroups,
                  "DRAM backend structure mismatch on restore");

@@ -54,21 +54,21 @@ GpuMachine::GpuMachine(GpuConfig config)
            (cfg.numSms + cfg.numPartitions) * 2 * cfg.icnQueueDepth +
            cfg.numPartitions * 2 * cfg.dramQueueDepth),
       reqXbar(cfg.numSms, cfg.numPartitions, cfg.icnLatency,
-              cfg.icnQueueDepth, &slab),
+              cfg.icnQueueDepth, slab),
       respXbar(cfg.numPartitions, cfg.numSms, cfg.icnLatency,
-               cfg.icnQueueDepth, &slab),
+               cfg.icnQueueDepth, slab),
       respBacklog(cfg.numPartitions),
       smBusy(cfg.numSms, false)
 {
     sms.reserve(cfg.numSms);
     for (unsigned s = 0; s < cfg.numSms; ++s) {
         sms.push_back(std::make_unique<StreamingMultiprocessor>(
-            cfg, s, &reqXbar, &mapping, &accessIds, &slab));
+            cfg, s, &reqXbar, &mapping, &accessIds, slab));
     }
     drams.reserve(cfg.numPartitions);
     for (unsigned p = 0; p < cfg.numPartitions; ++p) {
         drams.push_back(
-            std::make_unique<DramPartition>(cfg, p, &memStats, &slab));
+            std::make_unique<DramPartition>(cfg, p, &memStats, slab));
     }
     // Sized for one full DRAM queue's completions; they grow past that
     // only under a response-crossbar backlog, and never shrink.
@@ -851,12 +851,11 @@ GpuMachine::tick()
                     l2[p].mshr->allocate(access.blockAddr, access);
                     const DramLocation loc =
                         mapping.decode(access.blockAddr);
-                    drams[p]->enqueueSlot(pkt, loc, memCycle);
+                    drams[p]->enqueueSlot(pkt, loc);
                     continue;
                 }
             }
-            drams[p]->enqueueSlot(
-                pkt, mapping.decode(access.blockAddr), memCycle);
+            drams[p]->enqueueSlot(pkt, mapping.decode(access.blockAddr));
         }
     }
 
@@ -874,8 +873,8 @@ GpuMachine::tick()
     // 5. DRAM completions and L2 hit responses feed the response
     // crossbar (or retire immediately for writes).
     for (unsigned p = 0; p < cfg.numPartitions; ++p) {
-        while (drams[p]->hasCompleted(memCycle)) {
-            const std::uint32_t pkt = drams[p]->popCompletedSlot(memCycle);
+        while (drams[p]->hasCompleted()) {
+            const std::uint32_t pkt = drams[p]->popCompletedSlot();
             MemoryAccess &access = slab.at(pkt);
 #if RCOAL_TRACE_ENABLED
             if (spanCollector != nullptr) {

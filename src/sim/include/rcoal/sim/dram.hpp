@@ -12,13 +12,16 @@
  * long same-group column/ACT windows (tCCD_L/tRRD_L) on top of the
  * per-bank constraints, and HBM2 splits the banks across two
  * pseudo-channels with independent data buses.
+ *
+ * Accesses stay in the machine's shared AccessSlab: a partition takes
+ * slot indices in (enqueueSlot) and hands them back out
+ * (popCompletedSlot), and never copies a MemoryAccess.
  */
 
 #ifndef RCOAL_SIM_DRAM_HPP
 #define RCOAL_SIM_DRAM_HPP
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "rcoal/common/state_arena.hpp"
@@ -45,21 +48,20 @@ class DramPartition
      * @param config GPU configuration (backend kind, queue depth, banks).
      * @param partition_id this partition's index.
      * @param stats kernel statistics sink (row hits/misses, ACT/PRE).
-     * @param slab shared packet storage; when null the partition owns a
-     *        private slab (standalone/test use via the value API).
+     * @param slab packet storage the enqueued slots live in; it must
+     *        outlive the partition.
      */
     DramPartition(const GpuConfig &config, unsigned partition_id,
-                  KernelStats *stats, AccessSlab *slab = nullptr);
+                  KernelStats *stats, AccessSlab &slab);
 
     /** True when the request queue has room. */
     bool canAccept() const { return queuedRequests() < queueDepth; }
 
-    /** Enqueue an access (must canAccept()); @p now is the memory cycle. */
-    void enqueue(MemoryAccess access, const DramLocation &loc, Cycle now);
-
-    /** Enqueue slab slot @p slot (must canAccept()). */
-    void enqueueSlot(std::uint32_t slot, const DramLocation &loc,
-                     Cycle now);
+    /**
+     * Enqueue slab slot @p slot (must canAccept()). FR-FCFS age is the
+     * enqueue order, so the arrival cycle is not needed.
+     */
+    void enqueueSlot(std::uint32_t slot, const DramLocation &loc);
 
     /** Advance one memory cycle: issue up to one READ/WRITE, ACT, PRE. */
     void tick(Cycle now);
@@ -69,30 +71,21 @@ class DramPartition
      * next cycle at which a tick() could change partition state: burst
      * retirement, a column/ACT/PRE issue becoming legal, or a refresh
      * becoming due/unblocked. kInvalidCycle when the partition is idle
-     * and refresh is off. Under the legacy-timing test seam the bound
-     * degenerates to now + 1 (no skipping guarantees).
+     * and refresh is off.
      */
     Cycle nextEventCycle(Cycle now) const;
 
     /**
-     * True when a serviced access is ready to be picked up at memory
-     * cycle @p now.
+     * True when a serviced access awaits pickup. Every one retired at a
+     * tick no later than any query that follows it, so all are ready.
      */
-    bool
-    hasCompleted(Cycle now) const
-    {
-        for (const Request &req : completed) {
-            if (req.completion <= now)
-                return true;
-        }
-        return false;
-    }
+    bool hasCompleted() const { return !completed.empty(); }
 
-    /** Pop one completed access (must hasCompleted()). */
-    MemoryAccess popCompleted(Cycle now);
-
-    /** Pop one completed access's slab slot (must hasCompleted()). */
-    std::uint32_t popCompletedSlot(Cycle now);
+    /**
+     * Pop the oldest completed access's slab slot (must hasCompleted()).
+     * Slots leave in retirement order.
+     */
+    std::uint32_t popCompletedSlot();
 
     /** True when no requests are queued, in flight, or completed. */
     bool idle() const
@@ -169,32 +162,18 @@ class DramPartition
     /** Restore state saved by saveState() (must be idle()). */
     void restoreState(common::ArenaReader &r);
 
-    /**
-     * Test-only: reproduce the pre-fix timing bookkeeping (plain
-     * `nextRead` assignment, no read-to-precharge protection, no
-     * bank-group window bookkeeping, refresh that fires regardless of
-     * tRAS or in-flight bursts) so regression tests can demonstrate the
-     * protocol checker catches it on every backend.
-     */
-    void enableLegacyTimingForTest()
-    {
-        legacyTiming = true;
-        sleepUntil = 0;
-    }
-
   private:
     /**
      * One queued request: the access itself stays in the slab; the
-     * controller scans only this ~48-byte record, so the per-memory-cycle
+     * controller scans only this 48-byte record, so the per-memory-cycle
      * FR-FCFS walks touch a couple of contiguous cache lines instead of
-     * chasing a deque of ~200-byte structs.
+     * chasing the accesses through the slab.
      */
     struct Request
     {
         std::uint32_t slot = kInvalidSlot; ///< Slab slot of the access.
-        DramLocation loc;
-        std::uint64_t seq = 0; ///< Enqueue order (arrival order).
         bool neededActivate = false; ///< Row was not open on arrival path.
+        DramLocation loc;
         Cycle completion = kInvalidCycle; ///< Data available (mem cycles).
     };
 
@@ -211,17 +190,12 @@ class DramPartition
     void issueActivateAt(Request &req, Cycle now);
     void issuePrechargeAt(Request &req, Cycle now);
     /**
-     * Fused FR-FCFS step (non-legacy hot path): one walk of the queue
-     * selects this cycle's column, ACT, and precharge winners — the
-     * same winners the three per-class scans pick, proven in the
-     * implementation. Returns true when any command issued.
+     * FR-FCFS step: one walk of the queue selects this cycle's column,
+     * ACT, and precharge winners — the same winners three separate
+     * per-class scans would pick, proven in the implementation.
+     * Returns true when any command issued.
      */
     bool issueCommands(Cycle now);
-    /// Per-class scans; retained as the legacy-timing seam's path and
-    /// as the readable specification the fused walk is checked against.
-    bool tryIssueColumn(Cycle now);
-    bool tryIssueActivate(Cycle now);
-    bool tryIssuePrecharge(Cycle now);
     /** Retire every burst finished by @p now into `completed`. */
     void retireBursts(Cycle now);
     bool maybeRefresh(Cycle now);
@@ -243,8 +217,8 @@ class DramPartition
 
     /**
      * Monotone deadline update: a bank timing deadline may only move
-     * forward. Plain assignment here is how the pre-fix rewind slipped
-     * in (see enableLegacyTimingForTest()).
+     * forward. Plain assignment could pull back a deadline an earlier
+     * command pushed further out, and let a command issue early.
      */
     static void raiseTo(Cycle &deadline, Cycle candidate)
     {
@@ -255,8 +229,7 @@ class DramPartition
     mem::BackendTiming bt;
     std::size_t queueDepth;
     KernelStats *stats;
-    AccessSlab *slab;                    ///< Shared or ownSlab.get().
-    std::unique_ptr<AccessSlab> ownSlab; ///< Fallback for the value API.
+    AccessSlab &slab; ///< Where the enqueued slots live.
 
     /** Unserviced requests, age-ordered, oldest first. */
     SlotRing<Request> queue;
@@ -269,8 +242,15 @@ class DramPartition
      */
     std::vector<SlotRing<Request>> inFlight;
     std::size_t inFlightCount = 0;   ///< Entries across `inFlight`.
-    std::uint64_t nextSeq = 0;       ///< Next Request::seq.
-    std::vector<Request> completed;   ///< Serviced, awaiting pickup.
+    /**
+     * Slots of serviced accesses awaiting pickup, in retirement order.
+     * A retire tick takes at most one burst, so no tie needs breaking:
+     * completions strictly increase along each FIFO, and on HBM2's two
+     * channels the per-channel tCCD window (= burstCycles) keeps either
+     * bus from backing up, so every burst completes at its column issue
+     * + tCL + burst, and column issues fall on distinct ticks.
+     */
+    SlotRing<std::uint32_t> completed;
     std::vector<Bank> banks;
     std::vector<BankCounters> bankStats; ///< Parallel to `banks`.
     std::uint64_t refreshCount = 0;
@@ -288,8 +268,7 @@ class DramPartition
      * Memo: tick() is a provable no-op before this memory cycle (see
      * workBound()). Purely derived state — never serialized, reset to 0
      * by anything that could create work or change observers (enqueue,
-     * restore, checker/sink attach, the legacy-timing seam, which also
-     * disables the memo entirely).
+     * restore, checker/sink attach).
      */
     Cycle sleepUntil = 0;
     /**
@@ -302,7 +281,6 @@ class DramPartition
 
     trace::DramProtocolChecker *checker = nullptr; ///< Optional referee.
     trace::TraceSink *traceSink = nullptr;         ///< Optional recorder.
-    bool legacyTiming = false; ///< Test seam: pre-fix bookkeeping.
 };
 
 } // namespace rcoal::sim

@@ -7,18 +7,17 @@
  * ejection per output port per cycle, and round-robin arbitration among
  * inputs contending for the same output.
  *
- * Packets live in an AccessSlab and travel as 32-bit slot indices; the
- * value-based inject()/popOutput() API copies through a fallback slab so
- * standalone users (tests, microbenches) see the historical behaviour
- * unchanged. Arbitration is driven by per-output bitmasks of the inputs
- * whose queue head targets that output, so a tick is a handful of
- * find-first-set steps instead of an inputs x outputs scan.
+ * Packets live in the machine's shared AccessSlab and travel as 32-bit
+ * slot indices: injectSlot() takes one in, popOutputSlot() hands it
+ * back out, and no MemoryAccess is ever copied. Arbitration is driven
+ * by per-output bitmasks of the inputs whose queue head targets that
+ * output, so a tick is a handful of find-first-set steps instead of an
+ * inputs x outputs scan.
  */
 
 #ifndef RCOAL_SIM_INTERCONNECT_HPP
 #define RCOAL_SIM_INTERCONNECT_HPP
 
-#include <memory>
 #include <vector>
 
 #include "rcoal/common/logging.hpp"
@@ -43,11 +42,11 @@ class Crossbar
      * @param num_outputs number of ejection ports (at most 64).
      * @param latency traversal latency in cycles.
      * @param queue_depth per-port queue capacity.
-     * @param slab shared packet storage; when null the crossbar owns a
-     *        private slab (standalone/test use via the value API).
+     * @param slab packet storage the injected slots live in; it must
+     *        outlive the crossbar.
      */
     Crossbar(unsigned num_inputs, unsigned num_outputs, unsigned latency,
-             std::size_t queue_depth, AccessSlab *slab = nullptr);
+             std::size_t queue_depth, AccessSlab &slab);
 
     /** True when input port @p input can take another packet. */
     bool
@@ -58,11 +57,10 @@ class Crossbar
         return !inputQueues[input].full();
     }
 
-    /** Inject a packet at @p now destined for output port @p output. */
-    void inject(unsigned input, unsigned output, MemoryAccess access,
-                Cycle now);
-
-    /** Inject slab slot @p slot (must be live in the shared slab). */
+    /**
+     * Inject slab slot @p slot at @p now, destined for output port
+     * @p output (must canInject(), and the slot must be live).
+     */
     void injectSlot(unsigned input, unsigned output, std::uint32_t slot,
                     Cycle now);
 
@@ -104,9 +102,6 @@ class Crossbar
      * polling every port every cycle.
      */
     std::uint64_t outputsReadyMask() const { return outputsNonEmpty; }
-
-    /** Pop the packet at output port @p output (must be outputReady). */
-    MemoryAccess popOutput(unsigned output);
 
     /** Pop the slab slot at output port @p output (must be outputReady). */
     std::uint32_t popOutputSlot(unsigned output);
@@ -155,8 +150,7 @@ class Crossbar
     unsigned numOutputs;
     unsigned latency;
     std::size_t queueDepth;
-    AccessSlab *slab;                   ///< Shared or ownSlab.get().
-    std::unique_ptr<AccessSlab> ownSlab; ///< Fallback for the value API.
+    AccessSlab &slab; ///< Where the injected slots live.
     std::vector<SlotRing<Packet>> inputQueues;
     std::vector<SlotRing<std::uint32_t>> outputQueues;
     /**

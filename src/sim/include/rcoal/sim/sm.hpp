@@ -55,8 +55,8 @@ class StreamingMultiprocessor
      * @param request_xbar SM -> partition crossbar.
      * @param mapping address decoder (for routing).
      * @param access_id_counter shared unique-id source for accesses.
-     * @param slab shared packet storage; when null the SM owns a
-     *        private slab (standalone/test use).
+     * @param slab packet storage shared with @p request_xbar: the LD/ST
+     *        queue hands its slot indices straight to injectSlot().
      *
      * The statistics sink is bound per launch via beginLaunch(); an SM
      * belongs to exactly one resident kernel at a time, so the machine
@@ -66,7 +66,7 @@ class StreamingMultiprocessor
                             Crossbar *request_xbar,
                             const AddressMapping *mapping,
                             std::uint64_t *access_id_counter,
-                            AccessSlab *slab = nullptr);
+                            AccessSlab &slab);
 
     /**
      * Allocate this SM to a launch: bind its statistics sink, the
@@ -135,9 +135,6 @@ class StreamingMultiprocessor
      * cycle (each stepped cycle would have repeated them exactly).
      */
     void applySkippedCycles(Cycle cycles);
-
-    /** A load response arrived from the memory system. */
-    void deliverResponse(MemoryAccess access, Cycle now);
 
     /** A load response arrived as slab slot @p slot (freed here). */
     void deliverResponseSlot(std::uint32_t slot, Cycle now);
@@ -277,8 +274,7 @@ class StreamingMultiprocessor
     Crossbar *reqXbar;
     const AddressMapping *map;
     std::uint64_t *nextAccessId;
-    AccessSlab *slab;                    ///< Shared or ownSlab.get().
-    std::unique_ptr<AccessSlab> ownSlab; ///< Fallback for standalone use.
+    AccessSlab &slab; ///< Shared with the request crossbar.
 
     core::Coalescer coalescer;
     /**

@@ -17,7 +17,7 @@ namespace rcoal::sim {
 
 Crossbar::Crossbar(unsigned num_inputs, unsigned num_outputs,
                    unsigned traversal_latency, std::size_t queue_depth,
-                   AccessSlab *shared_slab)
+                   AccessSlab &shared_slab)
     : numInputs(num_inputs),
       numOutputs(num_outputs),
       latency(traversal_latency),
@@ -29,11 +29,6 @@ Crossbar::Crossbar(unsigned num_inputs, unsigned num_outputs,
                  "crossbar needs ports and queue space");
     RCOAL_ASSERT(num_inputs <= 64 && num_outputs <= 64,
                  "at most 64 ports per side supported");
-    if (slab == nullptr) {
-        ownSlab = std::make_unique<AccessSlab>(
-            num_inputs * queue_depth + num_outputs * queue_depth);
-        slab = ownSlab.get();
-    }
     inputQueues.resize(num_inputs);
     for (auto &q : inputQueues)
         q.reset(queue_depth);
@@ -60,13 +55,6 @@ Crossbar::refreshHead(unsigned in, unsigned freed_output)
 }
 
 void
-Crossbar::inject(unsigned input, unsigned output, MemoryAccess access,
-                 Cycle now)
-{
-    injectSlot(input, output, slab->allocate(std::move(access)), now);
-}
-
-void
 Crossbar::injectSlot(unsigned input, unsigned output, std::uint32_t slot,
                      Cycle now)
 {
@@ -74,7 +62,7 @@ Crossbar::injectSlot(unsigned input, unsigned output, std::uint32_t slot,
     RCOAL_ASSERT(output < numOutputs, "output port %u out of range",
                  output);
     RCOAL_TRACE(traceSink, XbarInject, now, input, output,
-                slab->at(slot).id);
+                slab.at(slot).id);
     inputQueues[input].push_back(Packet{slot, output, now + latency});
     ++resident;
     if (inputQueues[input].size() == 1) {
@@ -146,7 +134,7 @@ Crossbar::tick(Cycle now)
         const unsigned in = grant_in[g];
         const unsigned out = grant_out[g];
         const std::uint32_t slot = inputQueues[in].front().slot;
-        RCOAL_TRACE(traceSink, XbarGrant, now, in, out, slab->at(slot).id);
+        RCOAL_TRACE(traceSink, XbarGrant, now, in, out, slab.at(slot).id);
         outputQueues[out].push_back(slot);
         outputsNonEmpty |= std::uint64_t{1} << out;
         inputQueues[in].pop_front();
@@ -195,16 +183,10 @@ Crossbar::advanceIdleCycles(Cycle cycles)
         (rrPointer + cycles % numInputs) % numInputs);
 }
 
-MemoryAccess
-Crossbar::popOutput(unsigned output)
-{
-    return slab->take(popOutputSlot(output));
-}
-
 std::uint32_t
 Crossbar::popOutputSlot(unsigned output)
 {
-    RCOAL_ASSERT(outputReady(output), "popOutput on empty port %u",
+    RCOAL_ASSERT(outputReady(output), "popOutputSlot on empty port %u",
                  output);
     const std::uint32_t slot = outputQueues[output].front();
     outputQueues[output].pop_front();

@@ -17,7 +17,7 @@ namespace rcoal::sim {
 StreamingMultiprocessor::StreamingMultiprocessor(
     const GpuConfig &config, unsigned sm_id, Crossbar *request_xbar,
     const AddressMapping *mapping, std::uint64_t *access_id_counter,
-    AccessSlab *shared_slab)
+    AccessSlab &shared_slab)
     : cfg(config),
       id(sm_id),
       reqXbar(request_xbar),
@@ -36,13 +36,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(
 {
     RCOAL_ASSERT(reqXbar && map && nextAccessId,
                  "SM wired without its collaborators");
-    // A standalone SM owns a private slab; in a machine the shared slab
-    // must be the same one the request crossbar uses, since the LD/ST
-    // queue hands its slot indices straight to injectSlot().
-    if (slab == nullptr) {
-        ownSlab = std::make_unique<AccessSlab>(2 * ldstQueueCapacity);
-        slab = ownSlab.get();
-    }
     if (cfg.l1Enabled)
         l1 = std::make_unique<mem::SectoredCache>(cfg.l1);
     // The SM-side MSHR sits in front of the L1 (misses merge on the
@@ -321,7 +314,7 @@ StreamingMultiprocessor::issueMemory(std::size_t slot,
         } else {
             ++*pendingWrites;
         }
-        ldstQueue.push_back(slab->allocate(std::move(access)));
+        ldstQueue.push_back(slab.allocate(std::move(access)));
     }
 #if RCOAL_TRACE_ENABLED
     if (spanCollector != nullptr) {
@@ -423,8 +416,8 @@ StreamingMultiprocessor::drainLdst(Cycle now)
     // Retire L1-hit responses whose latency elapsed.
     while (!localResponses.empty() && localResponses.front().ready <= now) {
         const std::uint32_t resp_slot = localResponses.front().slot;
-        finalizeLoad(slab->at(resp_slot), now);
-        slab->free(resp_slot);
+        finalizeLoad(slab.at(resp_slot), now);
+        slab.free(resp_slot);
         localResponses.pop_front();
         tickChanged = true;
     }
@@ -432,7 +425,7 @@ StreamingMultiprocessor::drainLdst(Cycle now)
     if (ldstQueue.empty())
         return;
     const std::uint32_t head_slot = ldstQueue.front();
-    MemoryAccess &head = slab->at(head_slot);
+    MemoryAccess &head = slab.at(head_slot);
 
     // Loads may hit in the (optional) L1; writes are write-through,
     // no-allocate and always travel to memory.
@@ -463,7 +456,7 @@ StreamingMultiprocessor::drainLdst(Cycle now)
                 // The merged load rides the in-flight fill's
                 // reservation; no extra one is taken.
                 const Addr block = head.blockAddr;
-                mshr->merge(block, slab->take(head_slot));
+                mshr->merge(block, slab.take(head_slot));
                 ++stats->mshrMerges;
                 ldstQueue.pop_front();
                 tickChanged = true;
@@ -673,15 +666,9 @@ StreamingMultiprocessor::finalizeLoad(const MemoryAccess &access, Cycle now)
 }
 
 void
-StreamingMultiprocessor::deliverResponse(MemoryAccess access, Cycle now)
-{
-    deliverResponseSlot(slab->allocate(std::move(access)), now);
-}
-
-void
 StreamingMultiprocessor::deliverResponseSlot(std::uint32_t slot, Cycle now)
 {
-    const MemoryAccess &access = slab->at(slot);
+    const MemoryAccess &access = slab.at(slot);
     RCOAL_ASSERT(!access.isWrite, "write response delivered to SM %u", id);
     responseSinceTick = true;
     if (l1) {
@@ -690,13 +677,13 @@ StreamingMultiprocessor::deliverResponseSlot(std::uint32_t slot, Cycle now)
     }
     if (mshr) {
         const Addr block = access.blockAddr;
-        slab->free(slot);
+        slab.free(slot);
         for (MemoryAccess &waiting : mshr->complete(block))
             finalizeLoad(waiting, now);
         return;
     }
     finalizeLoad(access, now);
-    slab->free(slot);
+    slab.free(slot);
 }
 
 } // namespace rcoal::sim

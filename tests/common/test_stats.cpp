@@ -164,19 +164,18 @@ TEST(MeanStddev, BasicSeries)
 {
     const std::vector<double> x{2, 4, 4, 4, 5, 5, 7, 9};
     EXPECT_DOUBLE_EQ(meanOf(x), 5.0);
-    EXPECT_DOUBLE_EQ(stddevOf(x), 2.0);
+    EXPECT_DOUBLE_EQ(stddevPopulationOf(x), 2.0);
     EXPECT_EQ(meanOf({}), 0.0);
 }
 
 TEST(MeanStddev, DivisorConventionsAreExplicit)
 {
-    // Regression for the divisor bug: stddevOf guarded size() < 2 like
+    // Regression for the divisor bug: one helper guarded size() < 2 like
     // a sample statistic while dividing by n like a population one.
     // The conventions are now split and must match RunningStats.
     const std::vector<double> x{2, 4};
     EXPECT_DOUBLE_EQ(stddevPopulationOf(x), 1.0);          // /n
     EXPECT_DOUBLE_EQ(stddevSampleOf(x), std::sqrt(2.0));   // /(n-1)
-    EXPECT_DOUBLE_EQ(stddevOf(x), stddevPopulationOf(x));  // alias
 
     RunningStats rs;
     rs.push(2);

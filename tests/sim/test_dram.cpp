@@ -3,10 +3,14 @@
  * Unit tests for the GDDR5 FR-FCFS memory partition model.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "rcoal/common/rng.hpp"
+#include "rcoal/mem/dram_backend.hpp"
 #include "rcoal/sim/dram.hpp"
+#include "support/slab_ports.hpp"
 
 namespace rcoal::sim {
 namespace {
@@ -15,6 +19,7 @@ struct DramFixture : public testing::Test
 {
     GpuConfig cfg = GpuConfig::paperBaseline();
     KernelStats stats;
+    test::SlabPorts ports;
 
     MemoryAccess
     makeAccess(std::uint64_t id, Addr addr, bool write = false)
@@ -46,8 +51,8 @@ struct DramFixture : public testing::Test
     {
         for (Cycle c = start; c < limit; ++c) {
             dram.tick(c);
-            while (dram.hasCompleted(c)) {
-                const MemoryAccess done = dram.popCompleted(c);
+            while (dram.hasCompleted()) {
+                const MemoryAccess done = ports.takeCompleted(dram);
                 if (done.id == id)
                     return c;
             }
@@ -59,8 +64,8 @@ struct DramFixture : public testing::Test
 
 TEST_F(DramFixture, ColdAccessLatencyIsActPlusCasPlusBurst)
 {
-    DramPartition dram(cfg, 0, &stats);
-    dram.enqueue(makeAccess(1, 0), loc(0, 0), 0);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
+    ports.enqueue(dram, makeAccess(1, 0), loc(0, 0));
     const Cycle done = runUntilComplete(dram, 1);
     // ACT at cycle 0 -> READ ready at tRCD -> data at tCL + burst.
     const Cycle expected = 0 + cfg.timing.tRCD + cfg.timing.tCL +
@@ -73,11 +78,11 @@ TEST_F(DramFixture, ColdAccessLatencyIsActPlusCasPlusBurst)
 
 TEST_F(DramFixture, RowHitIsFasterThanRowMiss)
 {
-    DramPartition dram(cfg, 0, &stats);
-    dram.enqueue(makeAccess(1, 0x000), loc(0, 0), 0);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
+    ports.enqueue(dram, makeAccess(1, 0x000), loc(0, 0));
     const Cycle first = runUntilComplete(dram, 1);
     // Same bank, same row: no ACT needed.
-    dram.enqueue(makeAccess(2, 0x040), loc(0, 0), first);
+    ports.enqueue(dram, makeAccess(2, 0x040), loc(0, 0));
     const Cycle second = runUntilComplete(dram, 2, first);
     EXPECT_LT(second - first, cfg.timing.tRCD + cfg.timing.tCL +
                                   cfg.burstCycles);
@@ -86,12 +91,12 @@ TEST_F(DramFixture, RowHitIsFasterThanRowMiss)
 
 TEST_F(DramFixture, RowConflictRequiresPrechargeDelay)
 {
-    DramPartition dram(cfg, 0, &stats);
-    dram.enqueue(makeAccess(1, 0), loc(0, 0), 0);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
+    ports.enqueue(dram, makeAccess(1, 0), loc(0, 0));
     const Cycle first = runUntilComplete(dram, 1);
     // Same bank, different row: must wait tRAS, precharge (tRP), ACT
     // (tRCD) before the read.
-    dram.enqueue(makeAccess(2, 0), loc(0, 7), first);
+    ports.enqueue(dram, makeAccess(2, 0), loc(0, 7));
     const Cycle second = runUntilComplete(dram, 2, first);
     EXPECT_GE(second - first, cfg.timing.tRP);
     EXPECT_EQ(stats.dramPrecharges, 1u);
@@ -100,20 +105,20 @@ TEST_F(DramFixture, RowConflictRequiresPrechargeDelay)
 
 TEST_F(DramFixture, FrFcfsPrioritizesRowHitOverOlderMiss)
 {
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     // Open row 0 of bank 0.
-    dram.enqueue(makeAccess(1, 0), loc(0, 0), 0);
+    ports.enqueue(dram, makeAccess(1, 0), loc(0, 0));
     const Cycle warm = runUntilComplete(dram, 1);
     // Older request: bank 0, row 5 (conflict). Newer: bank 0, row 0
     // (hit). FR-FCFS services the hit first.
-    dram.enqueue(makeAccess(2, 0), loc(0, 5), warm);
-    dram.enqueue(makeAccess(3, 0x40), loc(0, 0), warm);
+    ports.enqueue(dram, makeAccess(2, 0), loc(0, 5));
+    ports.enqueue(dram, makeAccess(3, 0x40), loc(0, 0));
     Cycle done2 = 0;
     Cycle done3 = 0;
     for (Cycle c = warm; c < warm + 1000 && (!done2 || !done3); ++c) {
         dram.tick(c);
-        while (dram.hasCompleted(c)) {
-            const MemoryAccess done = dram.popCompleted(c);
+        while (dram.hasCompleted()) {
+            const MemoryAccess done = ports.takeCompleted(dram);
             (done.id == 2 ? done2 : done3) = c;
         }
     }
@@ -127,17 +132,17 @@ TEST_F(DramFixture, BankParallelismBeatsSerialSameBank)
     // Four accesses to four different banks complete sooner than four
     // row-conflicting accesses to one bank.
     KernelStats stats_par;
-    DramPartition par(cfg, 0, &stats_par);
+    DramPartition par(cfg, 0, &stats_par, ports.slab);
     for (unsigned i = 0; i < 4; ++i)
-        par.enqueue(makeAccess(i, 0), loc(i, 0), 0);
+        ports.enqueue(par, makeAccess(i, 0), loc(i, 0));
     Cycle last_par = 0;
     for (unsigned i = 0; i < 4; ++i)
         last_par = std::max(last_par, runUntilComplete(par, i));
 
     KernelStats stats_ser;
-    DramPartition ser(cfg, 0, &stats_ser);
+    DramPartition ser(cfg, 0, &stats_ser, ports.slab);
     for (unsigned i = 0; i < 4; ++i)
-        ser.enqueue(makeAccess(i, 0), loc(0, i), 0);
+        ports.enqueue(ser, makeAccess(i, 0), loc(0, i));
     Cycle last_ser = 0;
     for (unsigned i = 0; i < 4; ++i)
         last_ser = std::max(last_ser, runUntilComplete(ser, i));
@@ -149,17 +154,17 @@ TEST_F(DramFixture, DataBusSerializesBursts)
 {
     // N row hits to the same open row: completions are spaced at least
     // burstCycles apart (single data bus).
-    DramPartition dram(cfg, 0, &stats);
-    dram.enqueue(makeAccess(0, 0), loc(0, 0), 0);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
+    ports.enqueue(dram, makeAccess(0, 0), loc(0, 0));
     runUntilComplete(dram, 0);
     constexpr unsigned kN = 6;
     for (unsigned i = 1; i <= kN; ++i)
-        dram.enqueue(makeAccess(i, Addr{i} * 64), loc(0, 0), 50);
+        ports.enqueue(dram, makeAccess(i, Addr{i} * 64), loc(0, 0));
     std::vector<Cycle> completions;
     for (Cycle c = 50; c < 2000 && completions.size() < kN; ++c) {
         dram.tick(c);
-        while (dram.hasCompleted(c)) {
-            dram.popCompleted(c);
+        while (dram.hasCompleted()) {
+            ports.takeCompleted(dram);
             completions.push_back(c);
         }
     }
@@ -170,18 +175,18 @@ TEST_F(DramFixture, DataBusSerializesBursts)
 
 TEST_F(DramFixture, QueueCapacityHonored)
 {
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     for (std::size_t i = 0; i < cfg.dramQueueDepth; ++i) {
         ASSERT_TRUE(dram.canAccept());
-        dram.enqueue(makeAccess(i, Addr{i} * 64), loc(0, 0), 0);
+        ports.enqueue(dram, makeAccess(i, Addr{i} * 64), loc(0, 0));
     }
     EXPECT_FALSE(dram.canAccept());
 }
 
 TEST_F(DramFixture, WritesCompleteToo)
 {
-    DramPartition dram(cfg, 0, &stats);
-    dram.enqueue(makeAccess(1, 0, true), loc(0, 0), 0);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
+    ports.enqueue(dram, makeAccess(1, 0, true), loc(0, 0));
     const Cycle done = runUntilComplete(dram, 1);
     EXPECT_GT(done, 0u);
     EXPECT_TRUE(dram.idle());
@@ -189,9 +194,9 @@ TEST_F(DramFixture, WritesCompleteToo)
 
 TEST_F(DramFixture, IdleWhenDrained)
 {
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     EXPECT_TRUE(dram.idle());
-    dram.enqueue(makeAccess(1, 0), loc(0, 0), 0);
+    ports.enqueue(dram, makeAccess(1, 0), loc(0, 0));
     EXPECT_FALSE(dram.idle());
     runUntilComplete(dram, 1);
     EXPECT_TRUE(dram.idle());
@@ -199,11 +204,11 @@ TEST_F(DramFixture, IdleWhenDrained)
 
 TEST_F(DramFixture, ActToActSameBankRespectsTrc)
 {
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     // Two different-row requests to one bank: the second ACT cannot
     // happen before tRC after the first.
-    dram.enqueue(makeAccess(1, 0), loc(0, 0), 0);
-    dram.enqueue(makeAccess(2, 0), loc(0, 3), 0);
+    ports.enqueue(dram, makeAccess(1, 0), loc(0, 0));
+    ports.enqueue(dram, makeAccess(2, 0), loc(0, 3));
     const Cycle second = runUntilComplete(dram, 2);
     // First ACT at 0; second ACT >= tRC; data >= tRC + tRCD + tCL.
     EXPECT_GE(second, cfg.timing.tRC + cfg.timing.tRCD + cfg.timing.tCL);
@@ -211,9 +216,9 @@ TEST_F(DramFixture, ActToActSameBankRespectsTrc)
 
 TEST_F(DramFixture, ActToActDifferentBanksRespectsTrrd)
 {
-    DramPartition dram(cfg, 0, &stats);
-    dram.enqueue(makeAccess(1, 0), loc(0, 0), 0);
-    dram.enqueue(makeAccess(2, 0), loc(1, 0), 0);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
+    ports.enqueue(dram, makeAccess(1, 0), loc(0, 0));
+    ports.enqueue(dram, makeAccess(2, 0), loc(1, 0));
     const Cycle c1 = runUntilComplete(dram, 1);
     const Cycle c2 = runUntilComplete(dram, 2, c1);
     // Second bank's ACT is delayed by tRRD, so its completion trails
@@ -223,10 +228,10 @@ TEST_F(DramFixture, ActToActDifferentBanksRespectsTrrd)
 
 TEST_F(DramFixture, StatsRowHitRatioForStreamingPattern)
 {
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     // 8 sequential blocks in one row: 1 miss + 7 hits.
     for (unsigned i = 0; i < 8; ++i)
-        dram.enqueue(makeAccess(i, Addr{i} * 64), loc(0, 0), 0);
+        ports.enqueue(dram, makeAccess(i, Addr{i} * 64), loc(0, 0));
     for (unsigned i = 0; i < 8; ++i)
         runUntilComplete(dram, i);
     EXPECT_EQ(stats.dramRowMisses, 1u);
@@ -235,10 +240,10 @@ TEST_F(DramFixture, StatsRowHitRatioForStreamingPattern)
 
 TEST_F(DramFixture, DeathOnEnqueueWhenFull)
 {
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     for (std::size_t i = 0; i < cfg.dramQueueDepth; ++i)
-        dram.enqueue(makeAccess(i, Addr{i} * 64), loc(0, 0), 0);
-    EXPECT_DEATH(dram.enqueue(makeAccess(99, 0), loc(0, 0), 0), "full");
+        ports.enqueue(dram, makeAccess(i, Addr{i} * 64), loc(0, 0));
+    EXPECT_DEATH(ports.enqueue(dram, makeAccess(99, 0), loc(0, 0)), "full");
 }
 
 TEST_F(DramFixture, QueuedRequestsCountsUnservicedPlusInFlight)
@@ -246,10 +251,10 @@ TEST_F(DramFixture, QueuedRequestsCountsUnservicedPlusInFlight)
     // The queue depth bounds unserviced requests plus bursts in flight:
     // a column winner leaves the FR-FCFS candidates at issue but keeps
     // its slot of the depth until its data burst retires.
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     const std::size_t depth = cfg.dramQueueDepth;
     for (std::size_t i = 0; i < depth; ++i)
-        dram.enqueue(makeAccess(i, i * 64), loc(0, 5), 0);
+        ports.enqueue(dram, makeAccess(i, i * 64), loc(0, 5));
     EXPECT_EQ(dram.queuedRequests(), depth);
     EXPECT_FALSE(dram.canAccept());
 
@@ -257,8 +262,8 @@ TEST_F(DramFixture, QueuedRequestsCountsUnservicedPlusInFlight)
     bool saw_only_in_flight = false;
     for (Cycle c = 1; popped < depth && c < 10000; ++c) {
         dram.tick(c);
-        while (dram.hasCompleted(c)) {
-            dram.popCompleted(c);
+        while (dram.hasCompleted()) {
+            ports.takeCompleted(dram);
             ++popped;
         }
         // Every column command moved one request in flight.
@@ -277,45 +282,57 @@ TEST_F(DramFixture, QueuedRequestsCountsUnservicedPlusInFlight)
     EXPECT_TRUE(dram.idle());
 }
 
-TEST_F(DramFixture, SameTickRetirementsLeaveInArrivalOrder)
+TEST_F(DramFixture, NoTickRetiresMoreThanOneBurst)
 {
-    // Each HBM2 pseudo-channel retires its own bursts. Under the legacy
-    // timing seam (no per-channel tCCD window) a channel's bus backs
-    // up, so bursts on both channels can finish on one tick; they must
-    // leave in arrival order, as from one age-ordered queue.
-    cfg.dramBackend = DramBackendKind::Hbm2;
-    DramPartition dram(cfg, 0, &stats);
-    dram.enableLegacyTimingForTest();
-    const unsigned banks_per_pc = cfg.banksPerPartition / 2;
-    Rng rng(17);
-    constexpr std::uint64_t kRequests = 2000;
-    std::uint64_t next_id = 0;
-    std::uint64_t popped = 0;
-    unsigned shared_ticks = 0;
-    for (Cycle c = 1; popped < kRequests && c < 100000; ++c) {
-        while (next_id < kRequests && dram.canAccept()) {
-            // Two open rows per channel: mostly row hits on both buses.
-            const auto bank = static_cast<unsigned>(
-                rng.below(2) + (rng.below(2) == 0 ? 0 : banks_per_pc));
-            dram.enqueue(makeAccess(next_id, next_id * 64), loc(bank, bank),
-                         c);
-            ++next_id;
+    // `completed` keeps retirement order without a tie-break because
+    // bursts never finish together: completions strictly increase along
+    // each pseudo-channel, and the per-channel tCCD window (=
+    // burstCycles) keeps HBM2's two buses from backing up, so every
+    // burst lands at its column issue + tCL + burst. A full queue of
+    // mostly row hits on both channels is where two would collide.
+    for (const DramBackendKind backend :
+         {DramBackendKind::Gddr6, DramBackendKind::Hbm2}) {
+        for (const bool refresh : {false, true}) {
+            cfg.dramBackend = backend;
+            cfg.refreshEnabled = refresh;
+            const std::string cell =
+                std::string(mem::dramBackendKindName(backend)) +
+                (refresh ? " refresh" : "");
+            KernelStats backlog_stats;
+            DramPartition dram(cfg, 0, &backlog_stats, ports.slab);
+            const unsigned half = cfg.banksPerPartition / 2;
+            Rng rng(17);
+            constexpr std::uint64_t kRequests = 8000;
+            std::uint64_t next_id = 0;
+            std::uint64_t popped = 0;
+            Cycle c = 1;
+            for (; popped < kRequests && c < 100000; ++c) {
+                while (next_id < kRequests && dram.canAccept()) {
+                    const auto bank = static_cast<unsigned>(
+                        rng.below(2) + (rng.below(2) == 0 ? 0 : half));
+                    ports.enqueue(dram, makeAccess(next_id, next_id * 64),
+                                  loc(bank, bank));
+                    ++next_id;
+                }
+                dram.tick(c);
+                unsigned retired = 0;
+                while (dram.hasCompleted()) {
+                    ports.takeCompleted(dram);
+                    ++retired;
+                }
+                ASSERT_LE(retired, 1u) << cell << ", cycle " << c;
+                popped += retired;
+            }
+            EXPECT_EQ(popped, kRequests) << cell;
+            EXPECT_EQ(backlog_stats.dramRefreshes > 0, refresh) << cell;
+            if (backend == DramBackendKind::Hbm2) {
+                // One bus moves at most one burst per burstCycles; more
+                // than that means both channels streamed at once.
+                EXPECT_GT(popped * dram.backendTiming().burstCycles, c)
+                    << cell;
+            }
         }
-        dram.tick(c);
-        unsigned retired = 0;
-        std::uint64_t last = 0;
-        while (dram.hasCompleted(c)) {
-            const MemoryAccess done = dram.popCompleted(c);
-            if (retired > 0)
-                EXPECT_GT(done.id, last) << "cycle " << c;
-            last = done.id;
-            ++retired;
-            ++popped;
-        }
-        shared_ticks += retired >= 2 ? 1 : 0;
     }
-    EXPECT_EQ(popped, kRequests);
-    EXPECT_GT(shared_ticks, 0u) << "no tick retired bursts on both channels";
 }
 
 } // namespace

@@ -4,12 +4,16 @@
  *
  * Two layers: a property test that FR-FCFS never issues a command
  * violating a bank timing constraint (random request streams, refresh
- * on and off), and regressions that re-enable the pre-fix timing
- * bookkeeping (enableLegacyTimingForTest) and show the checker catches
- * exactly the violations the fix removed.
+ * on and off, every backend), and a sensitivity test that the checker
+ * would notice if it did: the same traffic against a checker with one
+ * timing parameter tightened by a cycle must trip that parameter's
+ * rule. tests/trace/test_dram_checker.cpp covers each rule on synthetic
+ * command streams.
  */
 
 #include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +22,7 @@
 #include "rcoal/sim/gpu_machine.hpp"
 #include "rcoal/trace/dram_checker.hpp"
 #include "rcoal/workloads/micro_kernels.hpp"
+#include "support/slab_ports.hpp"
 
 namespace rcoal::sim {
 namespace {
@@ -26,6 +31,7 @@ struct DramProtocolFixture : public testing::Test
 {
     GpuConfig cfg = GpuConfig::paperBaseline();
     KernelStats stats;
+    test::SlabPorts ports;
 
     /** Referee parameterized exactly as the partition's backend. */
     trace::DramProtocolChecker::Params
@@ -57,11 +63,11 @@ struct DramProtocolFixture : public testing::Test
     }
 
     /** Drain completions so the queue keeps accepting. */
-    static void
-    drain(DramPartition &dram, Cycle now)
+    void
+    drain(DramPartition &dram)
     {
-        while (dram.hasCompleted(now))
-            dram.popCompleted(now);
+        while (dram.hasCompleted())
+            ports.takeCompleted(dram);
     }
 
     /**
@@ -81,11 +87,42 @@ struct DramProtocolFixture : public testing::Test
         for (Cycle now = 0; now < cycles; ++now) {
             // ~30% offered load, bursty enough to back the queue up.
             if (offer_dist(rng) < 3 && dram.canAccept()) {
-                dram.enqueue(makeAccess(next_id++),
-                             loc(bank_dist(rng), row_dist(rng)), now);
+                ports.enqueue(dram, makeAccess(next_id++),
+                              loc(bank_dist(rng), row_dist(rng)));
             }
             dram.tick(now);
-            drain(dram, now);
+            drain(dram);
+        }
+    }
+
+    /**
+     * A row-conflict request behind a train of same-row reads whose
+     * data bursts queue up on the shared bus: the precharge must wait
+     * for the last burst to drain, not just for the last read to issue.
+     */
+    void
+    offerReadTrainWithConflict(DramPartition &dram)
+    {
+        for (std::uint64_t i = 0; i < 8; ++i)
+            ports.enqueue(dram, makeAccess(i), loc(0, 0));
+        ports.enqueue(dram, makeAccess(99), loc(0, 1));
+        for (Cycle now = 0; now < 400; ++now) {
+            dram.tick(now);
+            drain(dram);
+        }
+    }
+
+    /**
+     * One read under a tREFI short enough that the refresh falls due
+     * while the row is inside tRAS and its burst is on the bus.
+     */
+    void
+    offerWorkUnderTightRefresh(DramPartition &dram)
+    {
+        ports.enqueue(dram, makeAccess(1), loc(0, 0));
+        for (Cycle now = 0; now < 200; ++now) {
+            dram.tick(now);
+            drain(dram);
         }
     }
 };
@@ -96,7 +133,7 @@ TEST_F(DramProtocolFixture, RandomTrafficNeverViolatesTheProtocol)
     for (std::uint64_t seed : {11u, 22u, 33u}) {
         trace::DramProtocolChecker checker(
             checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-        DramPartition dram(cfg, 0, &stats);
+        DramPartition dram(cfg, 0, &stats, ports.slab);
         dram.setChecker(&checker);
         driveRandomTraffic(dram, seed, 4000);
         EXPECT_TRUE(checker.clean())
@@ -115,7 +152,7 @@ TEST_F(DramProtocolFixture, RandomTrafficWithRefreshStaysClean)
     for (std::uint64_t seed : {44u, 55u}) {
         trace::DramProtocolChecker checker(
             checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-        DramPartition dram(cfg, 0, &stats);
+        DramPartition dram(cfg, 0, &stats, ports.slab);
         dram.setChecker(&checker);
         driveRandomTraffic(dram, seed, 4000);
         EXPECT_TRUE(checker.clean())
@@ -126,50 +163,13 @@ TEST_F(DramProtocolFixture, RandomTrafficWithRefreshStaysClean)
     }
 }
 
-/**
- * The deterministic scenario behind the precharge fix: a row-conflict
- * request arrives behind a train of same-row reads whose data bursts
- * queue up on the shared bus. Pre-fix, prechargeAllowed was a plain
- * assignment at ACT time, so the precharge fired as soon as the last
- * read had *issued* — mid-burst.
- */
-void
-offerReadTrainWithConflict(DramProtocolFixture &f, DramPartition &dram)
-{
-    for (std::uint64_t i = 0; i < 8; ++i)
-        dram.enqueue(f.makeAccess(i), f.loc(0, 0), 0);
-    dram.enqueue(f.makeAccess(99), f.loc(0, 1), 0);
-    for (Cycle now = 0; now < 400; ++now) {
-        dram.tick(now);
-        DramProtocolFixture::drain(dram, now);
-    }
-}
-
-TEST_F(DramProtocolFixture, LegacyTimingPrechargesMidBurst)
-{
-    trace::DramProtocolChecker checker(
-        checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-    DramPartition dram(cfg, 0, &stats);
-    dram.setChecker(&checker);
-    dram.enableLegacyTimingForTest();
-    offerReadTrainWithConflict(*this, dram);
-
-    ASSERT_FALSE(checker.clean())
-        << "legacy timing should trip the checker";
-    bool saw_rd_to_pre = false;
-    for (const auto &v : checker.violations())
-        saw_rd_to_pre |= v.rule == "rd-to-pre";
-    EXPECT_TRUE(saw_rd_to_pre)
-        << "first violation: " << checker.violations().front().rule;
-}
-
 TEST_F(DramProtocolFixture, FixedTimingDrainsBurstsBeforePrecharge)
 {
     trace::DramProtocolChecker checker(
         checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     dram.setChecker(&checker);
-    offerReadTrainWithConflict(*this, dram);
+    offerReadTrainWithConflict(dram);
 
     EXPECT_TRUE(checker.clean())
         << checker.violations().front().rule << " — "
@@ -178,53 +178,16 @@ TEST_F(DramProtocolFixture, FixedTimingDrainsBurstsBeforePrecharge)
     EXPECT_TRUE(dram.idle());
 }
 
-/**
- * The refresh half of the legacy seam: pre-fix, a due refresh fired
- * unconditionally, closing rows inside tRAS and clobbering in-flight
- * bursts. An aggressive tREFI makes the window easy to hit.
- */
-void
-offerWorkUnderTightRefresh(DramProtocolFixture &f, DramPartition &dram)
-{
-    dram.enqueue(f.makeAccess(1), f.loc(0, 0), 0);
-    for (Cycle now = 0; now < 200; ++now) {
-        dram.tick(now);
-        DramProtocolFixture::drain(dram, now);
-    }
-}
-
-TEST_F(DramProtocolFixture, LegacyRefreshFiresInsideTras)
+TEST_F(DramProtocolFixture, FixedRefreshDefersUntilQuiescent)
 {
     cfg.refreshEnabled = true;
     cfg.timing.tREFI = 20; // Due while the first row is inside tRAS.
     cfg.timing.tRFC = 10;  // Keep refresh-to-refresh spacing legal.
     trace::DramProtocolChecker checker(
         checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     dram.setChecker(&checker);
-    dram.enableLegacyTimingForTest();
-    offerWorkUnderTightRefresh(*this, dram);
-
-    ASSERT_FALSE(checker.clean());
-    bool saw_refresh_rule = false;
-    for (const auto &v : checker.violations()) {
-        saw_refresh_rule |=
-            v.rule == "ref-tRAS" || v.rule == "ref-bus-busy";
-    }
-    EXPECT_TRUE(saw_refresh_rule)
-        << "first violation: " << checker.violations().front().rule;
-}
-
-TEST_F(DramProtocolFixture, FixedRefreshDefersUntilQuiescent)
-{
-    cfg.refreshEnabled = true;
-    cfg.timing.tREFI = 20;
-    cfg.timing.tRFC = 10;
-    trace::DramProtocolChecker checker(
-        checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-    DramPartition dram(cfg, 0, &stats);
-    dram.setChecker(&checker);
-    offerWorkUnderTightRefresh(*this, dram);
+    offerWorkUnderTightRefresh(dram);
 
     EXPECT_TRUE(checker.clean())
         << checker.violations().front().rule << " — "
@@ -236,7 +199,7 @@ TEST_F(DramProtocolFixture, FixedRefreshDefersUntilQuiescent)
 // ---------------------------------------------------------------------
 // The same referee, parameterized over every DRAM backend personality:
 // the scheduler must satisfy whatever window set the backend declares,
-// and the legacy-timing seam must trip the backend-specific rules.
+// and the checker must notice a window the scheduler cuts short.
 
 struct DramBackendProtocol
     : public DramProtocolFixture,
@@ -257,7 +220,7 @@ TEST_P(DramBackendProtocol, RandomTrafficNeverViolatesTheProtocol)
     for (std::uint64_t seed : {11u, 22u}) {
         trace::DramProtocolChecker checker(
             checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-        DramPartition dram(cfg, 0, &stats);
+        DramPartition dram(cfg, 0, &stats, ports.slab);
         dram.setChecker(&checker);
         driveRandomTraffic(dram, seed, 4000);
         EXPECT_TRUE(checker.clean())
@@ -274,7 +237,7 @@ TEST_P(DramBackendProtocol, RandomTrafficWithRefreshStaysClean)
     cfg.timing.tREFI = 500; // GDDR5 only; the others bring their own.
     trace::DramProtocolChecker checker(
         checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     dram.setChecker(&checker);
     driveRandomTraffic(dram, 66, 12000);
     EXPECT_TRUE(checker.clean())
@@ -287,41 +250,66 @@ TEST_P(DramBackendProtocol, FixedTimingDrainsReadTrainCleanly)
 {
     trace::DramProtocolChecker checker(
         checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-    DramPartition dram(cfg, 0, &stats);
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     dram.setChecker(&checker);
-    offerReadTrainWithConflict(*this, dram);
+    offerReadTrainWithConflict(dram);
     EXPECT_TRUE(checker.clean())
         << checker.violations().front().rule << " — "
         << checker.violations().front().detail;
     EXPECT_TRUE(dram.idle());
 }
 
-TEST_P(DramBackendProtocol, LegacyTimingTripsTheBackendRules)
+/** A checker parameter to tighten, and the rule that must then trip. */
+struct Tightening
 {
-    // Legacy mode drops the burst-drain bookkeeping (every backend)
-    // and the bank-group/pseudo-channel window state (the aware ones):
-    // a same-bank read train must trip rd-to-pre everywhere and the
-    // long column window wherever the backend declares one.
-    trace::DramProtocolChecker checker(
-        checkerParams(), trace::DramProtocolChecker::Mode::Collect);
-    DramPartition dram(cfg, 0, &stats);
-    dram.setChecker(&checker);
-    dram.enableLegacyTimingForTest();
-    offerReadTrainWithConflict(*this, dram);
+    unsigned trace::DramProtocolChecker::Params::*param;
+    std::string rule;
+};
 
-    ASSERT_FALSE(checker.clean())
-        << "legacy timing should trip the checker";
-    bool saw_rd_to_pre = false;
-    bool saw_group_rule = false;
-    for (const auto &v : checker.violations()) {
-        saw_rd_to_pre |= v.rule == "rd-to-pre";
-        saw_group_rule |= v.rule == "tCCD_L" || v.rule == "tCCD_S" ||
-            v.rule == "tRRD_L";
+TEST_P(DramBackendProtocol, CheckerTripsEachRuleTightenedByOneCycle)
+{
+    // The scheduler meets every window exactly (the clean-run tests
+    // above), so a referee that asks for one more cycle than the
+    // backend grants must report the rule that window guards. A rule
+    // that stays silent here would stay silent on a real violation.
+    using Params = trace::DramProtocolChecker::Params;
+    const bool aware = groupAware();
+    std::vector<Tightening> refresh_off = {
+        {&Params::tCL, "tCL"},   {&Params::tRCD, "tRCD"},
+        {&Params::tRAS, "tRAS"}, {&Params::tRP, "tRP"},
+        {&Params::tRRD, "tRRD"},
+        // The aware backends check tCCD per pseudo-channel as tCCD_S.
+        {&Params::tCCD, aware ? "tCCD_S" : "tCCD"},
+    };
+    if (aware) {
+        refresh_off.push_back({&Params::tCCDLong, "tCCD_L"});
+        refresh_off.push_back({&Params::tRRDLong, "tRRD_L"});
     }
-    EXPECT_TRUE(saw_rd_to_pre)
-        << "first violation: " << checker.violations().front().rule;
-    EXPECT_EQ(saw_group_rule, groupAware())
-        << "bank-group rules must fire exactly for aware backends";
+    const std::vector<Tightening> refresh_on = {
+        {&Params::tRFC, "tRFC"},
+        {&Params::tRAS, "ref-tRAS"},
+    };
+
+    for (const bool refresh : {false, true}) {
+        cfg.refreshEnabled = refresh;
+        cfg.timing.tREFI = 500; // GDDR5 only; the others bring their own.
+        for (const Tightening &t : refresh ? refresh_on : refresh_off) {
+            Params params = checkerParams();
+            ++(params.*t.param);
+            trace::DramProtocolChecker checker(
+                params, trace::DramProtocolChecker::Mode::Collect);
+            KernelStats run_stats;
+            DramPartition dram(cfg, 0, &run_stats, ports.slab);
+            dram.setChecker(&checker);
+            driveRandomTraffic(dram, 11, 12000);
+            bool tripped = false;
+            for (const auto &v : checker.violations())
+                tripped |= v.rule == t.rule;
+            EXPECT_TRUE(tripped)
+                << t.rule << (refresh ? " (refresh on)" : "")
+                << " never tripped";
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -50,6 +50,7 @@
 #include "rcoal/trace/tracer.hpp"
 #include "rcoal/workloads/aes_kernel.hpp"
 #include "support/fnv.hpp"
+#include "support/slab_ports.hpp"
 
 namespace rcoal::sim {
 namespace {
@@ -438,7 +439,8 @@ drainDigest(DramBackendKind backend, bool refresh)
     cfg.refreshEnabled = refresh;
     cfg.validate();
     KernelStats stats;
-    DramPartition dram(cfg, 0, &stats);
+    test::SlabPorts ports;
+    DramPartition dram(cfg, 0, &stats, ports.slab);
 
     Rng rng = Rng::stream(2026, static_cast<std::uint64_t>(backend));
     constexpr std::uint64_t kRequests = 3000;
@@ -468,12 +470,12 @@ drainDigest(DramBackendKind backend, bool refresh)
             MemoryAccess access;
             access.id = issued++;
             access.isWrite = rng.below(5) == 0;
-            dram.enqueue(std::move(access), loc, now);
+            ports.enqueue(dram, std::move(access), loc);
         }
         h.u64(dram.queuedRequests());
         dram.tick(now);
-        while (dram.hasCompleted(now)) {
-            const MemoryAccess done = dram.popCompleted(now);
+        while (dram.hasCompleted()) {
+            const MemoryAccess done = ports.takeCompleted(dram);
             h.u64(done.id);
             h.u64(now);
             ++retired;

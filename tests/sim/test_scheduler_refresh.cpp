@@ -8,6 +8,7 @@
 #include "rcoal/sim/dram.hpp"
 #include "rcoal/sim/gpu.hpp"
 #include "rcoal/workloads/micro_kernels.hpp"
+#include "support/slab_ports.hpp"
 
 namespace rcoal::sim {
 namespace {
@@ -70,7 +71,8 @@ TEST(DramRefresh, FiresPeriodicallyWhenEnabled)
     cfg.timing.tREFI = 50;
     cfg.timing.tRFC = 10;
     KernelStats stats;
-    DramPartition dram(cfg, 0, &stats);
+    AccessSlab slab;
+    DramPartition dram(cfg, 0, &stats, slab);
     for (Cycle c = 1; c <= 500; ++c)
         dram.tick(c);
     // ~500/50 = 10 refreshes (first at tREFI).
@@ -86,19 +88,20 @@ TEST(DramRefresh, RefreshClosesRowsAndDelaysAccess)
     cfg.timing.tRFC = 40;
 
     KernelStats stats;
-    DramPartition dram(cfg, 0, &stats);
+    test::SlabPorts ports;
+    DramPartition dram(cfg, 0, &stats, ports.slab);
     const AddressMapping mapping(cfg);
 
     // Warm the row before the refresh window.
     MemoryAccess first;
     first.id = 1;
     first.blockAddr = 0;
-    dram.enqueue(first, mapping.decode(0), 0);
+    ports.enqueue(dram, first, mapping.decode(0));
     Cycle done1 = 0;
     for (Cycle c = 1; c <= 50 && !done1; ++c) {
         dram.tick(c);
-        while (dram.hasCompleted(c)) {
-            dram.popCompleted(c);
+        while (dram.hasCompleted()) {
+            ports.takeCompleted(dram);
             done1 = c;
         }
     }
@@ -109,12 +112,12 @@ TEST(DramRefresh, RefreshClosesRowsAndDelaysAccess)
     MemoryAccess second;
     second.id = 2;
     second.blockAddr = 64;
-    dram.enqueue(second, mapping.decode(64), 61);
+    ports.enqueue(dram, second, mapping.decode(64));
     Cycle done2 = 0;
     for (Cycle c = 61; c <= 400 && !done2; ++c) {
         dram.tick(c);
-        while (dram.hasCompleted(c)) {
-            dram.popCompleted(c);
+        while (dram.hasCompleted()) {
+            ports.takeCompleted(dram);
             done2 = c;
         }
     }
