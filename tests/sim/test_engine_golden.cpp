@@ -10,8 +10,11 @@
  * counters, refreshes, crossbar packets, cumulative stats) into one
  * FNV-1a 64 digest. The cells span {BASE, RSS+RTS(8)} x {flat, L1+L2}
  * x {GDDR5, GDDR6, HBM2} x {LRR, GTO}, plus a PRT-saturated cell
- * (prtEntries = warpSize) and a refresh-on cell, and every cell must
- * produce the same digest with cycle skipping on and off.
+ * (prtEntries = warpSize), a refresh-on cell and an ICN-saturated cell
+ * (request-crossbar input ports two deep) whose digest also folds in the
+ * cumulative stall counters of a telemetry sample every 97 cycles, and
+ * every cell must produce the same digest with cycle skipping on and
+ * off.
  *
  * The skip-vs-step oracle compares two runs of the same build, so a
  * change to what a stepped tick does (the SM's stall replay, the DRAM's
@@ -94,6 +97,7 @@ struct Cell
     DramBackendKind backend = DramBackendKind::Gddr5;
     SchedulerPolicy scheduler = SchedulerPolicy::LooseRoundRobin;
     std::size_t prtEntries = 0; ///< 0 = the Table I default.
+    std::size_t icnQueueDepth = 0; ///< 0 = the Table I default.
     bool refresh = false;
 
     GpuConfig config(bool skipping) const
@@ -108,6 +112,8 @@ struct Cell
         cfg.scheduler = scheduler;
         if (prtEntries != 0)
             cfg.prtEntries = prtEntries;
+        if (icnQueueDepth != 0)
+            cfg.icnQueueDepth = icnQueueDepth;
         cfg.refreshEnabled = refresh;
         cfg.cycleSkipping = skipping;
         cfg.seed = 20261017;
@@ -126,6 +132,8 @@ struct Cell
                                                             : "/lrr";
         if (prtEntries != 0)
             n += "/prt" + std::to_string(prtEntries);
+        if (icnQueueDepth != 0)
+            n += "/icn" + std::to_string(icnQueueDepth);
         if (refresh)
             n += "/refresh";
         return n;
@@ -146,23 +154,48 @@ makeBatches(unsigned warp_size)
     return batches;
 }
 
+/** A sampler interval no cell reaches: collect() at the end only. */
+constexpr Cycle kNeverDue = Cycle{1} << 40;
+
 /**
  * Run @p cell to completion and digest it. With @p tracer attached, the
  * digest covers the SM and DRAM trace sinks instead of the stats.
+ *
+ * With a @p sample_interval the cell reaches, every sample's cumulative
+ * PRT- and ICN-stall counters are folded in too, so a stall count that
+ * lags its cycle at a sample point moves the digest even when the
+ * launch totals come out right. @p totals, when given, accumulates the
+ * stats of every taken launch.
  */
 std::uint64_t
-runCell(const Cell &cell, bool skipping, trace::Tracer *tracer = nullptr)
+runCell(const Cell &cell, bool skipping, trace::Tracer *tracer = nullptr,
+        Cycle sample_interval = kNeverDue, KernelStats *totals = nullptr)
 {
     const GpuConfig cfg = cell.config(skipping);
     const auto batches = makeBatches(cfg.warpSize);
     GpuMachine machine(cfg);
     if (tracer != nullptr)
         machine.setTracer(tracer);
-    // A sampler that never comes due: it only exposes the machine's
-    // per-bank DRAM counters and totals through collect() at the end.
+    // The sampler also exposes the machine's per-bank DRAM counters and
+    // totals through collect() at the end.
     telemetry::MetricRegistry registry;
-    telemetry::TelemetrySampler sampler(registry, Cycle{1} << 40);
+    telemetry::TelemetrySampler sampler(registry, sample_interval,
+                                        /*max_points=*/1 << 16);
     machine.setTelemetry(&sampler);
+    // Registered after the machine's collector, so it reads the values
+    // that collector just refreshed.
+    const telemetry::Counter &prt_stalls = registry.counter(
+        "rcoal_sm_prt_stall_cycles_total",
+        "Cycles memory issue stalled on a full PRT");
+    const telemetry::Counter &icn_stalls = registry.counter(
+        "rcoal_sm_icn_stall_cycles_total",
+        "Cycles the LD/ST head stalled on interconnect backpressure");
+    Fnv samples;
+    sampler.addCollector([&](Cycle now) {
+        samples.u64(now);
+        samples.u64(prt_stalls.value());
+        samples.u64(icn_stalls.value());
+    });
 
     struct Running
     {
@@ -188,7 +221,10 @@ runCell(const Cell &cell, bool skipping, trace::Tracer *tracer = nullptr)
                 continue;
             h.u64(i);
             h.u64(machine.finishCycle(launches[i].id));
-            hashStats(h, machine.take(launches[i].id));
+            const KernelStats stats = machine.take(launches[i].id);
+            hashStats(h, stats);
+            if (totals != nullptr)
+                totals->accumulate(stats);
             // Every load released the PRT entries it reserved, MSHR-
             // merged ones included.
             EXPECT_EQ(machine.prtOccupancy(launches[i].range), 0u)
@@ -215,6 +251,10 @@ runCell(const Cell &cell, bool skipping, trace::Tracer *tracer = nullptr)
     h.u64(machine.now());
     sampler.collect(machine.now());
     h.str(telemetry::renderPrometheus(registry));
+    if (sampler.samplesTaken() != 0) {
+        h.u64(sampler.samplesTaken());
+        h.u64(samples.value());
+    }
     machine.setTelemetry(nullptr);
 
     if (tracer == nullptr)
@@ -311,8 +351,26 @@ refreshCell()
     return c;
 }
 
+/**
+ * Request-crossbar input ports two packets deep: every gang's LD/ST
+ * head backs up behind a full port, and a 64-entry PRT stalls issue
+ * too, so both stall counters grow on most cycles of the run.
+ */
+Cell
+icnSaturatedCell()
+{
+    Cell c;
+    c.prtEntries = 64;
+    c.icnQueueDepth = 2;
+    return c;
+}
+
+/** Short and prime, so samples land on no fixed phase of the run. */
+constexpr Cycle kStallSampleInterval = 97;
+
 constexpr std::uint64_t kPrtSaturatedGolden = 0x1fd4a536177e8591ull;
 constexpr std::uint64_t kRefreshGolden = 0x3b16e1f02437fea9ull;
+constexpr std::uint64_t kIcnSaturatedSampledGolden = 0x02d22c2ef22629e6ull;
 
 void
 expectCell(const Cell &cell, std::uint64_t want)
@@ -349,6 +407,23 @@ TEST(EngineGolden, PrtSaturatedCellDigest)
 TEST(EngineGolden, RefreshCellDigest)
 {
     expectCell(refreshCell(), kRefreshGolden);
+}
+
+TEST(EngineGolden, IcnSaturatedSampledStallDigest)
+{
+    // Stall counts replayed in bulk must be on the books at every sample
+    // point and at take(), not only by the end of the run.
+    for (const bool skipping : {false, true}) {
+        KernelStats totals;
+        const std::uint64_t got =
+            runCell(icnSaturatedCell(), skipping, nullptr,
+                    kStallSampleInterval, &totals);
+        EXPECT_GT(totals.icnStallCycles, 0u);
+        EXPECT_GT(totals.prtStallCycles, 0u);
+        EXPECT_EQ(got, kIcnSaturatedSampledGolden)
+            << (skipping ? "skipping" : "stepped") << std::hex
+            << ": digest 0x" << got;
+    }
 }
 
 TEST(EngineGolden, PrtCountMatchesFunctionalTableOnStraddlingLanes)
