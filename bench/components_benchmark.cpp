@@ -260,20 +260,17 @@ BM_MachineTickIdle(benchmark::State &state)
 BENCHMARK(BM_MachineTickIdle)->Arg(0)->Arg(1);
 
 /**
- * Shared body of the saturated-machine benchmarks: run the 32-line AES
- * kernel to completion per iteration and report simulated cycles per
- * second. Arg toggles cycle skipping.
+ * Shared body of the saturated-machine benchmarks: run @p kernel to
+ * completion per iteration and report simulated cycles per second. Arg
+ * toggles cycle skipping.
  */
 void
-runSaturatedMachineBench(benchmark::State &state, sim::GpuConfig cfg)
+runKernelBench(benchmark::State &state, sim::GpuConfig cfg,
+               const sim::KernelSource &kernel)
 {
     cfg.cycleSkipping = state.range(0) != 0;
     cfg.seed = 11;
     sim::Gpu gpu(cfg);
-    Rng rng(12);
-    const auto plaintext = workloads::randomPlaintext(32, rng);
-    const workloads::AesGpuKernel kernel(plaintext, bench::victimKey(),
-                                         cfg.warpSize);
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         const sim::KernelStats stats = gpu.launch(kernel);
@@ -281,6 +278,17 @@ runSaturatedMachineBench(benchmark::State &state, sim::GpuConfig cfg)
         benchmark::DoNotOptimize(stats.cycles);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
+}
+
+/** runKernelBench() on the 32-line AES kernel. */
+void
+runSaturatedMachineBench(benchmark::State &state, const sim::GpuConfig &cfg)
+{
+    Rng rng(12);
+    const auto plaintext = workloads::randomPlaintext(32, rng);
+    const workloads::AesGpuKernel kernel(plaintext, bench::victimKey(),
+                                         cfg.warpSize);
+    runKernelBench(state, cfg, kernel);
 }
 
 /** PRT-starved machine: every divergent load stalls on PRT capacity. */
@@ -320,6 +328,39 @@ BM_MachineXbarSaturated(benchmark::State &state)
     runSaturatedMachineBench(state, cfg);
 }
 BENCHMARK(BM_MachineXbarSaturated)->Arg(0)->Arg(1);
+
+/**
+ * Request-crossbar-input-starved machine: four warps on each of the 15
+ * SMs issue fully divergent loads (32 lanes, 32 distinct 256-byte
+ * chunks, so every partition is hit), and each load's 32 accesses
+ * outrun the SM's input port, which stays full. Most SM ticks then only
+ * repeat an ICN stall: the regime the machine's SM wake set skips.
+ */
+void
+BM_MachineIcnSaturated(benchmark::State &state)
+{
+    const sim::GpuConfig cfg = sim::GpuConfig::paperBaseline();
+    constexpr unsigned kLoadsPerWarp = 8;
+    const unsigned warps = cfg.numSms * 4;
+    std::vector<std::vector<sim::WarpInstruction>> traces(warps);
+    for (unsigned w = 0; w < warps; ++w) {
+        for (unsigned i = 0; i < kLoadsPerWarp; ++i) {
+            std::vector<core::LaneRequest> lanes(cfg.warpSize);
+            for (ThreadId t = 0; t < cfg.warpSize; ++t) {
+                const Addr chunk = (Addr{w} * kLoadsPerWarp + i) *
+                                       cfg.warpSize +
+                                   t;
+                lanes[t] = {t, chunk * cfg.partitionInterleaveBytes, 4,
+                            true};
+            }
+            traces[w].push_back(sim::WarpInstruction::load(
+                std::move(lanes), sim::AccessTag::Generic));
+        }
+    }
+    const sim::VectorKernel kernel(std::move(traces), "icn_saturated");
+    runKernelBench(state, cfg, kernel);
+}
+BENCHMARK(BM_MachineIcnSaturated)->Arg(0)->Arg(1);
 
 /**
  * The serve regime without the frontend: three concurrent five-SM BASE

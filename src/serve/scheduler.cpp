@@ -161,6 +161,9 @@ std::vector<CompletedRequest>
 KernelScheduler::collectCompleted(Cycle now)
 {
     std::vector<CompletedRequest> out;
+    // The common case, polled every loop step: nothing has completed.
+    if (!machine.anyCompletedUntaken())
+        return out;
     for (auto it = resident.begin(); it != resident.end();) {
         if (!machine.done(it->id)) {
             ++it;

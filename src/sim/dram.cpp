@@ -33,7 +33,9 @@ DramPartition::DramPartition(const GpuConfig &config, unsigned partition_id,
     RCOAL_ASSERT(config.banksPerPartition % bt.pseudoChannels == 0,
                  "banks (%u) must split evenly across pseudo-channels (%u)",
                  config.banksPerPartition, bt.pseudoChannels);
-    banksPerPc = config.banksPerPartition / bt.pseudoChannels;
+    bankGroups = InvariantDivisor(bt.bankGroups);
+    banksPerPc =
+        InvariantDivisor(config.banksPerPartition / bt.pseudoChannels);
     busFreeAt.assign(bt.pseudoChannels, 0);
     nextColumnGroup.assign(bt.bankGroups, 0);
     nextActivateGroup.assign(bt.bankGroups, 0);

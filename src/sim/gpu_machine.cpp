@@ -30,7 +30,7 @@ validated(GpuConfig config)
 // Snapshot arena region tags. The reader checks each against the
 // writer's order, so a save/restore drift panics instead of misreading.
 constexpr std::uint32_t kTagMachine = 0x6d636831; // 'mch1'
-constexpr std::uint32_t kTagSm = 0x736d3032;      // 'sm02'
+constexpr std::uint32_t kTagSm = 0x736d3033;      // 'sm03'
 constexpr std::uint32_t kTagXbar = 0x78626172;    // 'xbar'
 constexpr std::uint32_t kTagDram = 0x6472616d;    // 'dram'
 constexpr std::uint32_t kTagL2 = 0x6c322e30;      // 'l2.0'
@@ -58,7 +58,9 @@ GpuMachine::GpuMachine(GpuConfig config)
       respXbar(cfg.numPartitions, cfg.numSms, cfg.icnLatency,
                cfg.icnQueueDepth, slab),
       respBacklog(cfg.numPartitions),
-      smBusy(cfg.numSms, false)
+      smBusy(cfg.numSms, false),
+      smWake(cfg.numSms, kInvalidCycle),
+      smSettled(cfg.numSms, 0)
 {
     sms.reserve(cfg.numSms);
     for (unsigned s = 0; s < cfg.numSms; ++s) {
@@ -112,6 +114,8 @@ GpuMachine::setTracer(trace::Tracer *t)
     }
     t->setCoreCyclesPerMemCycle(cfg.coreClockMhz / cfg.memClockMhz);
     attachedSinks.clear();
+    // A sink pins a stalling SM to per-cycle ticks (SmStall events are
+    // per cycle), so each sleeping SM's bound is read again below.
     const auto attach = [this](trace::TraceSink &sink) {
         attachedSinks.push_back(&sink);
         return &sink;
@@ -131,6 +135,10 @@ GpuMachine::setTracer(trace::Tracer *t)
             static_cast<std::uint16_t>(p))));
     }
     machineSink = attach(t->sink("machine", trace::ClockDomain::Core));
+    for (unsigned s = 0; s < cfg.numSms; ++s) {
+        if ((smAwake >> s & 1) == 0)
+            rewakeSm(s);
+    }
 }
 
 void
@@ -296,6 +304,12 @@ GpuMachine::restore(const MachineSnapshot &snap)
     r.pod(memAccum);
     r.pod(skippedTotal);
     r.endRegion();
+    // Quiescent: every SM is idle, asleep with nothing to book.
+    smAwake = 0;
+    std::fill(smWake.begin(), smWake.end(), kInvalidCycle);
+    std::fill(smSettled.begin(), smSettled.end(), nowCycle);
+    smWakeMin = kInvalidCycle;
+    smPinnedAt = kInvalidCycle;
 
     for (auto &sm : sms) {
         r.beginRegion(kTagSm);
@@ -391,6 +405,11 @@ GpuMachine::reset()
     memCycle = 0;
     memAccum = 0.0;
     skippedTotal = 0;
+    smAwake = 0;
+    std::fill(smWake.begin(), smWake.end(), kInvalidCycle);
+    std::fill(smSettled.begin(), smSettled.end(), 0);
+    smWakeMin = kInvalidCycle;
+    smPinnedAt = kInvalidCycle;
 
     for (auto &sm : sms)
         sm->hardReset();
@@ -414,8 +433,9 @@ GpuMachine::reset()
 }
 
 KernelStats
-GpuMachine::cumulativeStats() const
+GpuMachine::cumulativeStats()
 {
+    settleSleepingSms();
     KernelStats totals = retiredTotals;
     // Iteration order over the hash map is irrelevant: the fold is a
     // plain commutative sum, so the result is deterministic.
@@ -736,6 +756,8 @@ GpuMachine::launchStream(const KernelSource &kernel, SmRange range,
         sms[range.first + (w % range.count)]->assignWarp(
             w, &kernel.trace(w), partitioner.draw(launch_rng));
     }
+    for (unsigned s = range.first; s < range.first + range.count; ++s)
+        wakeSm(s, nowCycle);
 
     RCOAL_TRACE(machineSink, KernelLaunch, nowCycle, id, range.first,
                 range.count);
@@ -765,10 +787,79 @@ GpuMachine::checkCompletion(LaunchState &launch)
             return;
     }
     launch.completed = true;
+    ++completedUntaken;
     launch.endCycle = nowCycle;
     launch.stats->cycles = nowCycle - launch.startCycle;
     RCOAL_TRACE(machineSink, KernelRetire, nowCycle, launch.id,
                 launch.stats->cycles, 0);
+}
+
+void
+GpuMachine::settleSm(unsigned s, Cycle through)
+{
+    RCOAL_ASSERT(through >= smSettled[s],
+                 "SM %u settled through %llu, then back to %llu", s,
+                 static_cast<unsigned long long>(smSettled[s]),
+                 static_cast<unsigned long long>(through));
+    sms[s]->applySkippedCycles(through - smSettled[s]);
+    smSettled[s] = through;
+}
+
+void
+GpuMachine::settleSleepingSms()
+{
+    for (unsigned s = 0; s < cfg.numSms; ++s) {
+        if ((smAwake >> s & 1) == 0)
+            settleSm(s, nowCycle);
+    }
+}
+
+void
+GpuMachine::wakeSm(unsigned s, Cycle through)
+{
+    const std::uint64_t bit = std::uint64_t{1} << s;
+    if ((smAwake & bit) != 0)
+        return;
+    settleSm(s, through);
+    smAwake |= bit;
+}
+
+void
+GpuMachine::rewakeSm(unsigned s)
+{
+    const Cycle wake = sms[s]->wakeCycle(nowCycle);
+    if (wake <= nowCycle + 1) {
+        wakeSm(s, nowCycle);
+        return;
+    }
+    smWake[s] = wake;
+    smWakeMin = std::min(smWakeMin, wake);
+}
+
+void
+GpuMachine::wakeDueSms()
+{
+    // The SMs due now tick this cycle; their skipped ticks end with the
+    // previous one.
+    Cycle next = kInvalidCycle;
+    for (unsigned s = 0; s < cfg.numSms; ++s) {
+        if ((smAwake >> s & 1) != 0)
+            continue;
+        if (smWake[s] <= nowCycle)
+            wakeSm(s, nowCycle - 1);
+        else
+            next = std::min(next, smWake[s]);
+    }
+    smWakeMin = next;
+}
+
+void
+GpuMachine::parkSm(unsigned s, Cycle wake)
+{
+    smAwake &= ~(std::uint64_t{1} << s);
+    smWake[s] = wake;
+    smSettled[s] = nowCycle;
+    smWakeMin = std::min(smWakeMin, wake);
 }
 
 void
@@ -777,12 +868,27 @@ GpuMachine::tick()
     ++nowCycle;
     RCOAL_ASSERT(nowCycle < kMaxCycles, "simulator deadlock suspected");
 
-    // 1. Cores issue and inject.
-    for (auto &sm : sms)
-        sm->tick(nowCycle);
+    // 1. Cores issue and inject: only the SMs in the wake set. An SM
+    // whose wake lies past the next cycle leaves the set, since its
+    // ticks until then would only repeat its stall counts.
+    if (nowCycle >= smWakeMin)
+        wakeDueSms();
+    for (std::uint64_t awake = smAwake; awake != 0; awake &= awake - 1) {
+        const auto s = static_cast<unsigned>(std::countr_zero(awake));
+        StreamingMultiprocessor &sm = *sms[s];
+        if (sm.tick(nowCycle))
+            smPinnedAt = nowCycle;
+        const Cycle wake = sm.wakeCycle(nowCycle);
+        if (wake > nowCycle + 1)
+            parkSm(s, wake);
+    }
 
-    // 2. Interconnect moves packets (core clock domain).
-    reqXbar.tick(nowCycle);
+    // 2. Interconnect moves packets (core clock domain). A grant that
+    // pops a sleeping SM's full input port lets its LD/ST head inject.
+    for (std::uint64_t popped = reqXbar.tick(nowCycle) & ~smAwake;
+         popped != 0; popped &= popped - 1) {
+        rewakeSm(static_cast<unsigned>(std::countr_zero(popped)));
+    }
     respXbar.tick(nowCycle);
 
     // 3. Request-crossbar ejection into L2/DRAM. Iterating the ready
@@ -947,6 +1053,7 @@ GpuMachine::tick()
     for (std::uint64_t ready = respXbar.outputsReadyMask(); ready != 0;
          ready &= ready - 1) {
         const auto s = static_cast<unsigned>(std::countr_zero(ready));
+        smPinnedAt = nowCycle;
         while (respXbar.outputReady(s)) {
             const std::uint32_t pkt = respXbar.popOutputSlot(s);
 #if RCOAL_TRACE_ENABLED
@@ -962,6 +1069,10 @@ GpuMachine::tick()
 #endif
             sms[s]->deliverResponseSlot(pkt, nowCycle);
         }
+        // A completion that reopens the scan gate wakes a sleeping SM;
+        // any other leaves its stall counts as they were.
+        if ((smAwake >> s & 1) == 0)
+            rewakeSm(s);
     }
 
     // 7. Retire launches whose work has fully drained.
@@ -994,11 +1105,14 @@ GpuMachine::nextEventCycle() const
         bound = telemetrySampler->nextSampleCycle();
     if (bound <= pinned)
         return bound;
-    for (const auto &sm : sms) {
-        bound = std::min(bound, sm->nextEventCycle(nowCycle));
-        if (bound <= pinned)
-            return bound;
-    }
+    // An SM that ticks next cycle, or whose tick or delivery this cycle
+    // moved something, pins the bound; a sleeping SM's is its wake.
+    if (smAwake != 0 || smPinnedAt == nowCycle)
+        return pinned;
+    for (const Cycle wake : smWake)
+        bound = std::min(bound, wake);
+    if (bound <= pinned)
+        return bound;
     bound = std::min(bound, reqXbar.nextEventCycle(nowCycle));
     if (bound <= pinned)
         return bound;
@@ -1094,25 +1208,18 @@ GpuMachine::skipTo(Cycle target)
     const Cycle skipped = new_now - nowCycle;
     if (skipped == 0)
         return 0;
+    // An awake SM pins nextEventCycle() to now + 1, so a legal skip
+    // finds every SM asleep; their stall counts are booked when they
+    // wake or are read (settleSm).
+    RCOAL_ASSERT(smAwake == 0, "skipTo(%llu) past a cycle an SM must tick",
+                 static_cast<unsigned long long>(target));
     nowCycle = new_now;
     memCycle = new_mem;
     memAccum = new_accum;
-    for (auto &sm : sms)
-        sm->applySkippedCycles(skipped);
     reqXbar.advanceIdleCycles(skipped);
     respXbar.advanceIdleCycles(skipped);
     skippedTotal += skipped;
     return skipped;
-}
-
-bool
-GpuMachine::anyCompletedUntaken() const
-{
-    for (const auto &[slot, launch] : active) {
-        if (launch.completed)
-            return true;
-    }
-    return false;
 }
 
 bool
@@ -1161,13 +1268,16 @@ GpuMachine::take(LaunchId id)
     LaunchState &launch = it->second;
     RCOAL_ASSERT(launch.completed, "launch %llu taken before completion",
                  static_cast<unsigned long long>(id));
+    settleSleepingSms();
     KernelStats stats = *launch.stats;
     retiredTotals.accumulate(stats);
     ++retiredLaunches;
+    --completedUntaken;
     for (unsigned s = launch.range.first;
          s < launch.range.first + launch.range.count; ++s) {
         sms[s]->reset();
         smBusy[s] = false;
+        parkSm(s, kInvalidCycle); // Idle until its next launch.
     }
     busyCount -= launch.range.count;
     active.erase(it);

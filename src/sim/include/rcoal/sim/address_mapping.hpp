@@ -15,6 +15,7 @@
 
 #include "rcoal/common/types.hpp"
 #include "rcoal/sim/config.hpp"
+#include "rcoal/sim/invariant_divisor.hpp"
 
 namespace rcoal::sim {
 
@@ -31,7 +32,9 @@ struct DramLocation
 };
 
 /**
- * Address decoder.
+ * Address decoder. Every divisor is a configuration parameter, so each
+ * is precomputed as an InvariantDivisor: a decode runs no divide
+ * instruction.
  */
 class AddressMapping
 {
@@ -45,11 +48,11 @@ class AddressMapping
     DramLocation decode(Addr addr) const;
 
   private:
-    std::uint32_t interleave;
-    unsigned partitions;
-    unsigned banks;
-    unsigned groups;
-    std::uint32_t rowBytes;
+    InvariantDivisor interleave;
+    InvariantDivisor partitions;
+    InvariantDivisor banks;
+    InvariantDivisor groups;
+    InvariantDivisor chunksPerRow; ///< rowBytes / interleave.
 };
 
 } // namespace rcoal::sim

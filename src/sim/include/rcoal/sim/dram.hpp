@@ -28,6 +28,7 @@
 #include "rcoal/mem/dram_backend.hpp"
 #include "rcoal/sim/access_slab.hpp"
 #include "rcoal/sim/address_mapping.hpp"
+#include "rcoal/sim/invariant_divisor.hpp"
 #include "rcoal/sim/memory_access.hpp"
 #include "rcoal/sim/stats.hpp"
 
@@ -212,8 +213,16 @@ class DramPartition
      */
     Cycle workBound(Cycle now) const;
 
-    unsigned groupOf(unsigned bank) const { return bank % bt.bankGroups; }
-    unsigned pcOf(unsigned bank) const { return bank / banksPerPc; }
+    unsigned
+    groupOf(unsigned bank) const
+    {
+        return static_cast<unsigned>(bankGroups.remainder(bank));
+    }
+    unsigned
+    pcOf(unsigned bank) const
+    {
+        return static_cast<unsigned>(banksPerPc.quotient(bank));
+    }
 
     /**
      * Monotone deadline update: a bank timing deadline may only move
@@ -254,7 +263,8 @@ class DramPartition
     std::vector<Bank> banks;
     std::vector<BankCounters> bankStats; ///< Parallel to `banks`.
     std::uint64_t refreshCount = 0;
-    unsigned banksPerPc = 0;          ///< Banks per pseudo-channel.
+    InvariantDivisor bankGroups;      ///< bt.bankGroups.
+    InvariantDivisor banksPerPc;      ///< Banks per pseudo-channel.
     std::vector<Cycle> busFreeAt;     ///< Data-bus horizon per PC.
     Cycle nextActivateAny = 0;        ///< tRRD across banks.
     /// Bank-group windows; stay 0 unless the backend is group-aware,

@@ -130,9 +130,10 @@ class GpuMachine
      * intervenes. Only legal when the cycles jumped over are provably
      * uneventful, i.e. @p target must not exceed nextEventCycle(). The
      * clock-domain state (memCycle/memAccum) is advanced by replaying
-     * the exact per-cycle accumulator arithmetic of tick(), and frozen
-     * per-cycle effects (SM stall counters, crossbar arbitration
-     * rotation) are applied in bulk. Returns the cycles skipped.
+     * the exact per-cycle accumulator arithmetic of tick(), and the
+     * crossbars' arbitration rotation is applied in bulk; the sleeping
+     * SMs book their stall counts for the window when they next wake
+     * or are read. Returns the cycles skipped.
      */
     Cycle skipTo(Cycle target);
 
@@ -152,8 +153,8 @@ class GpuMachine
     /** Core cycles fast-forwarded so far (a subset of now()). */
     Cycle skippedCycles() const { return skippedTotal; }
 
-    /** True when some completed launch still awaits take(). */
-    bool anyCompletedUntaken() const;
+    /** True when some completed launch still awaits take(). O(1). */
+    bool anyCompletedUntaken() const { return completedUntaken != 0; }
 
     /** True when @p id has retired (all warps done, stores drained). */
     bool done(LaunchId id) const;
@@ -248,9 +249,10 @@ class GpuMachine
     /**
      * Counter totals accumulated across launches: retired launches'
      * stats plus the live stats of still-resident ones. Monotone over
-     * time, which is what the telemetry counters require.
+     * time, which is what the telemetry counters require. Not const:
+     * it first books the stall cycles of SMs outside the wake set.
      */
-    KernelStats cumulativeStats() const;
+    KernelStats cumulativeStats();
 
     /** Launches retired (taken) so far. */
     std::uint64_t retiredLaunchCount() const { return retiredLaunches; }
@@ -328,6 +330,31 @@ class GpuMachine
     /** Mark @p launch completed if all of its work has drained. */
     void checkCompletion(LaunchState &launch);
 
+    /**
+     * Book SM @p s's frozen stall counts for the cycles after
+     * smSettled[s] through @p through (applySkippedCycles()' rule).
+     */
+    void settleSm(unsigned s, Cycle through);
+
+    /** settleSm() every SM outside the wake set through now(). */
+    void settleSleepingSms();
+
+    /** Settle sleeping SM @p s through @p through and add it to smAwake. */
+    void wakeSm(unsigned s, Cycle through);
+
+    /**
+     * Re-read sleeping SM @p s's wakeCycle() after an input that can
+     * lower it; wake the SM (settled through now()) when it is now + 1,
+     * else keep it asleep with the new wake.
+     */
+    void rewakeSm(unsigned s);
+
+    /** Wake every sleeping SM whose timed wake is due this cycle. */
+    void wakeDueSms();
+
+    /** Take SM @p s out of the wake set until cycle @p wake. */
+    void parkSm(unsigned s, Cycle wake);
+
     GpuConfig cfg;
     core::SubwarpPartitioner partitioner;
     AddressMapping mapping;
@@ -354,6 +381,33 @@ class GpuMachine
     std::unordered_map<std::uint32_t, LaunchState> active;
     std::vector<bool> smBusy; ///< SM -> allocated to a launch.
     /**
+     * The SM wake set (DESIGN decision 17): bit s is set iff SM s ticks
+     * next cycle. An SM whose wakeCycle() lies past the next cycle
+     * leaves the set after its tick, because every tick until then
+     * would only repeat its stall counts. It re-enters the set when that
+     * cycle arrives or an input that can change it reaches the SM: a
+     * request-crossbar grant popped its input port, a delivered response
+     * reopened its scan gate, a warp was assigned to it, or a trace sink
+     * was attached. Its skipped stall counts are booked lazily
+     * (settleSm) before it ticks again and before anything reads them:
+     * a telemetry sample, take() and cumulativeStats(). So every awake
+     * SM's wake is now + 1 after a tick, and skipTo() runs only with
+     * the set empty.
+     */
+    std::uint64_t smAwake = 0;
+    /**
+     * The last cycle an SM tick moved something or a response reached
+     * an SM: nextEventCycle() is now + 1 then, as it was when every SM
+     * ticked every cycle, so skip decisions do not move.
+     */
+    Cycle smPinnedAt = kInvalidCycle;
+    /** Sleeping SM s: its wakeCycle() (kInvalidCycle when idle). */
+    std::vector<Cycle> smWake;
+    /** Sleeping SM s: the last cycle whose stall counts are booked. */
+    std::vector<Cycle> smSettled;
+    /** At most every sleeping SM's smWake; wakeDueSms() makes it exact. */
+    Cycle smWakeMin = kInvalidCycle;
+    /**
      * Set bits of smBusy, maintained at launch and take: the serve and
      * fleet frontends read busySms() every loop step (asserted against
      * the walk in debug builds).
@@ -371,6 +425,9 @@ class GpuMachine
     telemetry::TelemetrySampler *telemetrySampler = nullptr;
     KernelStats retiredTotals; ///< Sum of all taken launches' stats.
     std::uint64_t retiredLaunches = 0;
+
+    /** Launches completed but not yet taken (anyCompletedUntaken()). */
+    std::size_t completedUntaken = 0;
 
     std::uint64_t launchCounter = 0;
     std::uint64_t accessIds = 0;

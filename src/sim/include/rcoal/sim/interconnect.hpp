@@ -68,8 +68,11 @@ class Crossbar
      * Advance one cycle: for every output port with queue space, move at
      * most one ready packet (injected at least `latency` cycles ago)
      * from an input queue, arbitrating round-robin among inputs.
+     * Returns a bit per input port, set iff this tick popped that
+     * input's queue head (the machine wakes an SM waiting on its full
+     * port from it).
      */
-    void tick(Cycle now);
+    std::uint64_t tick(Cycle now);
 
     /**
      * Conservative lower bound on the next cycle (>= now + 1) at which a
@@ -140,11 +143,11 @@ class Crossbar
     };
 
     /**
-     * Re-derive headTarget membership after input @p in's head popped;
-     * @p freed_output is the popped head's target (the only mask that
-     * could hold the input's bit).
+     * Re-derive headTarget membership after input @p in's head popped
+     * at @p now; @p freed_output is the popped head's target (the only
+     * mask that could hold the input's bit).
      */
-    void refreshHead(unsigned in, unsigned freed_output);
+    void refreshHead(unsigned in, unsigned freed_output, Cycle now);
 
     unsigned numInputs;
     unsigned numOutputs;
@@ -161,6 +164,20 @@ class Crossbar
      */
     std::vector<std::uint64_t> headTargets;
     /**
+     * readyAt of input i's queue head (valid while the queue is
+     * non-empty), kept flat so the bound and the maturity check read
+     * one array instead of every input ring.
+     */
+    std::vector<Cycle> headReadyAt;
+    /**
+     * Inputs whose queue head had matured (readyAt <= now) when last
+     * checked, and inputs whose head had not: together the non-empty
+     * inputs. tick() first promotes the pending heads that matured, so
+     * arbitration picks each output's winner with one find-first-set.
+     */
+    std::uint64_t headsReady = 0;
+    std::uint64_t headsPending = 0;
+    /**
      * Packets resident across all port queues, maintained at
      * inject/eject so queuedPackets()/idle() are O(1) instead of
      * rescanning every queue (asserted against the scan in debug).
@@ -173,6 +190,9 @@ class Crossbar
     /// (headTargets[out] != 0) — arbitration iterates these set bits
     /// instead of walking every output port every core cycle.
     std::uint64_t headsNonEmpty = 0;
+    /// Bit per output port, set iff its queue is full (backpressured);
+    /// maintained at grant and ejection.
+    std::uint64_t outputsFull = 0;
     unsigned rrPointer = 0; ///< Rotating input priority.
     std::uint64_t transferred = 0;
     /**

@@ -111,28 +111,36 @@ class StreamingMultiprocessor
                     const std::vector<WarpInstruction> *warp_trace,
                     core::SubwarpPartition partition);
 
-    /** Advance one core cycle: drain LD/ST, then issue instructions. */
-    void tick(Cycle now);
-
     /**
-     * Conservative lower bound (>= now + 1) on the next core cycle at
-     * which a tick() could change SM state, evaluated after this cycle's
-     * tick and response deliveries. now + 1 whenever this cycle was
-     * eventful (issue, queue movement, response) or the LD/ST head could
-     * inject next cycle; otherwise the earliest warp wake-up / local
-     * response / trailing-ALU horizon. kInvalidCycle for an idle SM.
-     *
-     * Stall counters are the one per-cycle side effect a frozen window
-     * repeats; the machine replays them via applySkippedCycles(), so
-     * they do not pin the bound (except under an attached trace sink,
-     * where the per-cycle SmStall events must really be emitted).
+     * Advance one core cycle: drain LD/ST, then issue instructions.
+     * True when the tick issued, injected or retired something.
      */
-    Cycle nextEventCycle(Cycle now) const;
+    bool tick(Cycle now);
 
     /**
-     * Account for @p cycles skipped ticks during which the SM state was
-     * frozen: replay this tick's stall-counter deltas once per skipped
-     * cycle (each stepped cycle would have repeated them exactly).
+     * The first core cycle after @p now whose tick could do more than
+     * count the stalls applySkippedCycles() replays, evaluated after
+     * this cycle's tick or after an input. now + 1 when the next tick
+     * has work: a scan is due (after an issue, a reopened gate or a new
+     * warp), the LD/ST head can move, or, under a trace sink, a head
+     * behind a full port emits its per-cycle SmStall event. Otherwise
+     * the earliest warp wake-up, local response or trailing-ALU horizon
+     * (done() flips at busyUntil, and the machine's skip bound must see
+     * that cycle). kInvalidCycle for an idle SM.
+     *
+     * The bound holds only while no input reaches the SM from outside:
+     * a response delivery, a pop of its request-crossbar input port, a
+     * new warp or a trace-sink attach. The machine ticks an SM whose
+     * bound lies past the next cycle only once one of those happens or
+     * the bound arrives (GpuMachine's wake set).
+     */
+    Cycle wakeCycle(Cycle now) const;
+
+    /**
+     * Book @p cycles ticks the machine did not run while wakeCycle()
+     * lay ahead. Each would have counted the same stalls: the closed
+     * gate's scanPrtStalls, and one ICN stall when an LD/ST head waits
+     * behind the full input port.
      */
     void applySkippedCycles(Cycle cycles);
 
@@ -163,13 +171,15 @@ class StreamingMultiprocessor
     const mem::SectoredCache *l1Cache() const { return l1.get(); }
 
     /**
-     * Attach a sink for issue/stall/coalesce events (core domain). The
-     * scan reopens so a stalled SM emits its per-cycle SmStall events.
+     * Attach a sink for issue/stall/coalesce events (core domain). A
+     * scan that counted PRT stalls reopens, so the SM emits their
+     * per-cycle SmStall events.
      */
     void setTraceSink(trace::TraceSink *s)
     {
         traceSink = s;
-        scanGate = 0;
+        if (scanPrtStalls != 0)
+            scanGate = 0;
     }
 
     /**
@@ -257,7 +267,7 @@ class StreamingMultiprocessor
     /** Advance the LD/ST queue head toward the memory system. */
     void drainLdst(Cycle now);
 
-    /** Run the per-scheduler issue scan and refresh scanGate/scanWake. */
+    /** Run the per-scheduler issue scan and refresh scanGate. */
     void scanWarps(Cycle now);
 
     /** Free PRT entries. */
@@ -358,7 +368,9 @@ class StreamingMultiprocessor
      * minLdstDemand, a load completion that frees minPrtDemand PRT
      * entries or drains its warp's loads (waitAllLoads). With a trace
      * sink attached a stalling scan still re-arms to now + 1, because
-     * SmStall events are per cycle.
+     * SmStall events are per cycle. A gate past now + 1 is therefore
+     * the earliest time-blocked warp wake-up, the bound wakeCycle()
+     * reports.
      */
     Cycle scanGate = 0;
     /**
@@ -370,28 +382,15 @@ class StreamingMultiprocessor
     static constexpr std::uint32_t kNoDemand = ~std::uint32_t{0};
     std::uint32_t minLdstDemand = 0;
     std::uint32_t minPrtDemand = 0;
-    /** PRT stalls the last scan counted (replayed while gated). */
+    /**
+     * PRT stalls the last scan counted (replayed while gated). It is
+     * this SM's own count: KernelStats is shared by every SM in a
+     * launch, so a replay derived from a counter diff would fold
+     * sibling SMs' stalls into this SM's.
+     */
     std::uint64_t scanPrtStalls = 0;
-    /**
-     * Earliest time-blocked warp wake-up as of the last scan: the
-     * state-change lower bound nextEventCycle() uses. Unlike scanGate
-     * it ignores the re-arm to now + 1 after an issue or under a trace
-     * sink with stalls; nextEventCycle() pins those cycles through
-     * tickChanged and its own trace-sink rule.
-     */
-    Cycle scanWake = 0;
-    bool tickChanged = false;       ///< This tick moved/issued something.
-    bool responseSinceTick = false; ///< Delivery since this tick started.
-    bool scanIssued = false;        ///< This tick's scan issued a warp.
-    /**
-     * Stalls THIS SM recorded during the current tick. KernelStats is
-     * shared by every SM in a launch, so replaying a skipped window
-     * from a counter diff would fold sibling SMs' stalls (and earlier
-     * siblings' replays) into this SM's delta; per-SM tick counts are
-     * the only safe basis for bulk replay.
-     */
-    std::uint64_t prtStallsTick = 0;
-    std::uint64_t icnStallsTick = 0;
+    bool tickChanged = false; ///< This tick moved/issued something.
+    bool scanIssued = false;  ///< This tick's scan issued a warp.
 
     trace::TraceSink *traceSink = nullptr;
     spans::SpanCollector *spanCollector = nullptr;
@@ -399,19 +398,16 @@ class StreamingMultiprocessor
 };
 
 // The per-cycle entry points are inline: the machine calls them for
-// every SM every core cycle, and most calls return after a few flag
-// tests.
+// every SM in its wake set every core cycle, and most calls return
+// after a few flag tests.
 
-inline void
+inline bool
 StreamingMultiprocessor::tick(Cycle now)
 {
     tickChanged = false;
-    responseSinceTick = false;
     scanIssued = false;
     if (warpsCold.empty())
-        return;
-    prtStallsTick = 0;
-    icnStallsTick = 0;
+        return false;
 
     if (!localResponses.empty() || !ldstQueue.empty())
         drainLdst(now);
@@ -421,38 +417,32 @@ StreamingMultiprocessor::tick(Cycle now)
     // event meets a demand threshold (which resets the gate). A
     // closed-gate tick therefore replays the count instead of walking
     // the warps — applySkippedCycles()' rule, one cycle at a time.
-    if (now >= scanGate) {
+    if (now >= scanGate)
         scanWarps(now);
-    } else if (scanPrtStalls != 0) {
+    else if (scanPrtStalls != 0)
         stats->prtStallCycles += scanPrtStalls;
-        prtStallsTick += scanPrtStalls;
-    }
+    return tickChanged;
 }
 
 inline Cycle
-StreamingMultiprocessor::nextEventCycle(Cycle now) const
+StreamingMultiprocessor::wakeCycle(Cycle now) const
 {
     if (warpsCold.empty())
         return kInvalidCycle;
-    if (tickChanged || responseSinceTick)
+    if (scanGate <= now + 1)
+        return now + 1;
+    // A stalled L1 miss head (MSHR or fill-reservation exhaustion) has
+    // no event wiring to re-arm it, so it retries every cycle; any other
+    // head moves as soon as its input port has room.
+    if (!ldstQueue.empty() && (l1 || reqXbar->canInject(id)))
         return now + 1;
 #if RCOAL_TRACE_ENABLED
-    // Stall counting emits one SmStall trace event per stalled cycle;
-    // bulk-replaying the counters would drop those events, so a live
-    // sink pins a stalling SM to per-cycle stepping.
-    if (traceSink != nullptr &&
-        (prtStallsTick != 0 || icnStallsTick != 0)) {
+    // An ICN stall emits one SmStall trace event per cycle; replaying
+    // the counter in bulk would drop them.
+    if (traceSink != nullptr && !ldstQueue.empty())
         return now + 1;
-    }
 #endif
-    if (l1 && !ldstQueue.empty()) {
-        // A stalled miss head (MSHR or fill-reservation exhaustion) has
-        // no event wiring to re-arm it; pin per-cycle stepping.
-        return now + 1;
-    }
-    if (!ldstQueue.empty() && reqXbar->canInject(id))
-        return now + 1; // Head injects next cycle.
-    Cycle bound = scanWake;
+    Cycle bound = scanGate;
     if (!localResponses.empty())
         bound = std::min(bound, localResponses.front().ready);
     if (busyUntil > now) {

@@ -23,7 +23,8 @@ Crossbar::Crossbar(unsigned num_inputs, unsigned num_outputs,
       latency(traversal_latency),
       queueDepth(queue_depth),
       slab(shared_slab),
-      headTargets(num_outputs, 0)
+      headTargets(num_outputs, 0),
+      headReadyAt(num_inputs, 0)
 {
     RCOAL_ASSERT(num_inputs > 0 && num_outputs > 0 && queue_depth > 0,
                  "crossbar needs ports and queue space");
@@ -38,7 +39,7 @@ Crossbar::Crossbar(unsigned num_inputs, unsigned num_outputs,
 }
 
 void
-Crossbar::refreshHead(unsigned in, unsigned freed_output)
+Crossbar::refreshHead(unsigned in, unsigned freed_output, Cycle now)
 {
     // Each input's bit lives in exactly one mask — its head's target —
     // so clearing the freed output's mask alone keeps the invariant
@@ -47,10 +48,16 @@ Crossbar::refreshHead(unsigned in, unsigned freed_output)
     headTargets[freed_output] &= ~bit;
     if (headTargets[freed_output] == 0)
         headsNonEmpty &= ~(std::uint64_t{1} << freed_output);
+    headsReady &= ~bit;
     if (!inputQueues[in].empty()) {
-        const unsigned dest = inputQueues[in].front().dest;
-        headTargets[dest] |= bit;
-        headsNonEmpty |= std::uint64_t{1} << dest;
+        const Packet &head = inputQueues[in].front();
+        headTargets[head.dest] |= bit;
+        headsNonEmpty |= std::uint64_t{1} << head.dest;
+        headReadyAt[in] = head.readyAt;
+        if (head.readyAt <= now)
+            headsReady |= bit;
+        else
+            headsPending |= bit;
     }
 }
 
@@ -68,6 +75,8 @@ Crossbar::injectSlot(unsigned input, unsigned output, std::uint32_t slot,
     if (inputQueues[input].size() == 1) {
         headTargets[output] |= std::uint64_t{1} << input;
         headsNonEmpty |= std::uint64_t{1} << output;
+        headReadyAt[input] = now + latency;
+        headsPending |= std::uint64_t{1} << input;
     }
     // The new packet matures at now + latency; nothing it enables can
     // happen sooner, so clamping (rather than clearing) the memo keeps
@@ -75,7 +84,7 @@ Crossbar::injectSlot(unsigned input, unsigned output, std::uint32_t slot,
     sleepUntil = std::min(sleepUntil, now + latency);
 }
 
-void
+std::uint64_t
 Crossbar::tick(Cycle now)
 {
     // Memo fast path: a previous grantless tick proved no grant can
@@ -86,7 +95,7 @@ Crossbar::tick(Cycle now)
     if (now < sleepUntil) {
         if (++rrPointer == numInputs)
             rrPointer = 0;
-        return;
+        return 0;
     }
 
     // Output-major arbitration from the pre-tick head masks. Each input
@@ -104,41 +113,40 @@ Crossbar::tick(Cycle now)
     std::array<std::uint8_t, 64> grant_in;
     std::array<std::uint8_t, 64> grant_out;
     unsigned grants = 0;
+    for (std::uint64_t pending = headsPending; pending != 0;
+         pending &= pending - 1) {
+        const auto in = static_cast<unsigned>(std::countr_zero(pending));
+        if (headReadyAt[in] <= now) {
+            headsPending &= ~(std::uint64_t{1} << in);
+            headsReady |= std::uint64_t{1} << in;
+        }
+    }
     const std::uint64_t ge_rr = ~std::uint64_t{0} << rrPointer;
-    for (std::uint64_t heads = headsNonEmpty; heads != 0;
+    for (std::uint64_t heads = headsNonEmpty & ~outputsFull; heads != 0;
          heads &= heads - 1) {
         const auto out = static_cast<unsigned>(std::countr_zero(heads));
-        const std::uint64_t candidates = headTargets[out];
-        if (outputQueues[out].full())
+        const std::uint64_t ready = headTargets[out] & headsReady;
+        if (ready == 0)
             continue;
-        int winner = -1;
-        for (std::uint64_t m : {candidates & ge_rr, candidates & ~ge_rr}) {
-            while (m != 0) {
-                const auto in = static_cast<unsigned>(std::countr_zero(m));
-                if (inputQueues[in].front().readyAt <= now) {
-                    winner = static_cast<int>(in);
-                    break;
-                }
-                m &= m - 1;
-            }
-            if (winner >= 0)
-                break;
-        }
-        if (winner < 0)
-            continue;
-        grant_in[grants] = static_cast<std::uint8_t>(winner);
+        const std::uint64_t from_rr = ready & ge_rr;
+        grant_in[grants] = static_cast<std::uint8_t>(
+            std::countr_zero(from_rr != 0 ? from_rr : ready));
         grant_out[grants] = static_cast<std::uint8_t>(out);
         ++grants;
     }
+    std::uint64_t popped = 0;
     for (unsigned g = 0; g < grants; ++g) {
         const unsigned in = grant_in[g];
         const unsigned out = grant_out[g];
+        popped |= std::uint64_t{1} << in;
         const std::uint32_t slot = inputQueues[in].front().slot;
         RCOAL_TRACE(traceSink, XbarGrant, now, in, out, slab.at(slot).id);
         outputQueues[out].push_back(slot);
         outputsNonEmpty |= std::uint64_t{1} << out;
+        if (outputQueues[out].full())
+            outputsFull |= std::uint64_t{1} << out;
         inputQueues[in].pop_front();
-        refreshHead(in, out);
+        refreshHead(in, out, now);
         ++transferred;
     }
     if (grants == 0) {
@@ -151,23 +159,22 @@ Crossbar::tick(Cycle now)
     // division — this runs every core cycle for every crossbar.
     if (++rrPointer == numInputs)
         rrPointer = 0;
+    return popped;
 }
 
 Cycle
 Crossbar::nextEventCycle(Cycle now) const
 {
     Cycle bound = kInvalidCycle;
-    for (std::uint64_t heads = headsNonEmpty; heads != 0;
+    // A backpressured output unblocks only through an ejection.
+    for (std::uint64_t heads = headsNonEmpty & ~outputsFull; heads != 0;
          heads &= heads - 1) {
         const auto out = static_cast<unsigned>(std::countr_zero(heads));
-        if (outputQueues[out].full())
-            continue; // Backpressured; unblocking needs an ejection.
         std::uint64_t m = headTargets[out];
         while (m != 0) {
             const auto in = static_cast<unsigned>(std::countr_zero(m));
             m &= m - 1;
-            const Cycle candidate =
-                std::max(inputQueues[in].front().readyAt, now + 1);
+            const Cycle candidate = std::max(headReadyAt[in], now + 1);
             if (candidate <= now + 1)
                 return candidate; // Pinned; no lower bound possible.
             bound = std::min(bound, candidate);
@@ -190,6 +197,7 @@ Crossbar::popOutputSlot(unsigned output)
                  output);
     const std::uint32_t slot = outputQueues[output].front();
     outputQueues[output].pop_front();
+    outputsFull &= ~(std::uint64_t{1} << output);
     if (outputQueues[output].empty())
         outputsNonEmpty &= ~(std::uint64_t{1} << output);
     RCOAL_ASSERT(resident > 0, "resident-packet counter underflow");
@@ -227,6 +235,9 @@ Crossbar::reset()
     sleepUntil = 0;
     outputsNonEmpty = 0; // Idle: every output queue is empty.
     headsNonEmpty = 0;   // Idle: no input has a head.
+    outputsFull = 0;
+    headsReady = 0;
+    headsPending = 0;
 }
 
 void
@@ -246,6 +257,9 @@ Crossbar::restoreState(common::ArenaReader &r)
     sleepUntil = 0;      // Derived memo; never part of a snapshot.
     outputsNonEmpty = 0; // Idle: every output queue is empty.
     headsNonEmpty = 0;   // Idle: no input has a head.
+    outputsFull = 0;
+    headsReady = 0;
+    headsPending = 0;
 }
 
 } // namespace rcoal::sim

@@ -91,19 +91,12 @@ StreamingMultiprocessor::reset()
     std::fill(rrPointer.begin(), rrPointer.end(), 0);
     busyUntil = 0;
     scanGate = 0;
-    scanWake = 0;
     minLdstDemand = 0;
     minPrtDemand = 0;
+    // The replayed count must not leak into the next launch's stats.
     scanPrtStalls = 0;
     tickChanged = false;
-    responseSinceTick = false;
-    // Per-tick state that used to leak across launches: tick() zeroes
-    // the stall counters only after the warps-empty early-return, so
-    // a skip window right after the next launch could replay the
-    // previous launch's final-tick stalls into the new launch's stats.
     scanIssued = false;
-    prtStallsTick = 0;
-    icnStallsTick = 0;
     stats = nullptr;
     launchSlot = 0;
     pendingWrites = nullptr;
@@ -133,12 +126,6 @@ StreamingMultiprocessor::saveState(common::ArenaWriter &w) const
     w.pod(static_cast<std::uint8_t>(l1LookupOutcome));
     w.pod(busyUntil);
     w.pod(scanGate);
-    w.pod(scanWake);
-    w.pod(static_cast<std::uint8_t>(tickChanged));
-    w.pod(static_cast<std::uint8_t>(responseSinceTick));
-    w.pod(static_cast<std::uint8_t>(scanIssued));
-    w.pod(prtStallsTick);
-    w.pod(icnStallsTick);
     w.pod(static_cast<std::uint8_t>(l1 != nullptr));
     if (l1)
         l1->saveState(w);
@@ -157,12 +144,6 @@ StreamingMultiprocessor::restoreState(common::ArenaReader &r)
     l1LookupOutcome = static_cast<mem::AccessOutcome>(r.take<std::uint8_t>());
     r.pod(busyUntil);
     r.pod(scanGate);
-    r.pod(scanWake);
-    tickChanged = r.take<std::uint8_t>() != 0;
-    responseSinceTick = r.take<std::uint8_t>() != 0;
-    scanIssued = r.take<std::uint8_t>() != 0;
-    r.pod(prtStallsTick);
-    r.pod(icnStallsTick);
     // Gate thresholds are derived state, not part of the snapshot.
     minLdstDemand = 0;
     minPrtDemand = 0;
@@ -345,7 +326,7 @@ StreamingMultiprocessor::memoryStalled(std::size_t slot,
     if (pendingLoad[slot] != 0 && prtFree() < pendingPrt[slot]) {
         minPrtDemand = std::min(minPrtDemand, pendingPrt[slot]);
         ++stats->prtStallCycles;
-        ++prtStallsTick;
+        ++scanPrtStalls;
         RCOAL_TRACE(traceSink, SmStall, now, 0, warpIds[slot], 0);
         return true;
     }
@@ -469,7 +450,6 @@ StreamingMultiprocessor::drainLdst(Cycle now)
                 return; // Fill-buffer bound reached; retry next cycle.
             if (!reqXbar->canInject(id)) {
                 ++stats->icnStallCycles;
-                ++icnStallsTick;
                 RCOAL_TRACE(traceSink, SmStall, now, 1, head.warpId, 0);
                 return;
             }
@@ -494,7 +474,6 @@ StreamingMultiprocessor::drainLdst(Cycle now)
 
     if (!reqXbar->canInject(id)) {
         ++stats->icnStallCycles;
-        ++icnStallsTick;
         RCOAL_TRACE(traceSink, SmStall, now, 1, head.warpId, 0);
         return;
     }
@@ -515,10 +494,10 @@ StreamingMultiprocessor::drainLdst(Cycle now)
 void
 StreamingMultiprocessor::scanWarps(Cycle now)
 {
-    const std::uint64_t prt_before = prtStallsTick;
     const std::size_t nwarps = warpsCold.size();
     minLdstDemand = kNoDemand;
     minPrtDemand = kNoDemand;
+    scanPrtStalls = 0;
 
     // One issue slot per scheduler; warp slot w belongs to scheduler
     // w % issueWidth (the 16x2 SIMT organization of Table I).
@@ -605,13 +584,11 @@ StreamingMultiprocessor::scanWarps(Cycle now)
         if (warpPc[i] < warpTraceLen[i] && warpReadyAt[i] > now)
             wake = std::min(wake, warpReadyAt[i]);
     }
-    scanPrtStalls = prtStallsTick - prt_before;
     bool rescan = scanIssued;
 #if RCOAL_TRACE_ENABLED
     rescan |= traceSink != nullptr && scanPrtStalls != 0;
 #endif
     scanGate = rescan ? now + 1 : wake;
-    scanWake = wake;
 }
 
 void
@@ -619,10 +596,12 @@ StreamingMultiprocessor::applySkippedCycles(Cycle cycles)
 {
     if (warpsCold.empty() || cycles == 0)
         return;
-    // A skipped window repeats this tick verbatim: the only side effect
-    // a frozen SM produces per cycle is its stall counting.
-    stats->prtStallCycles += prtStallsTick * cycles;
-    stats->icnStallCycles += icnStallsTick * cycles;
+    // The only side effect a frozen SM's tick has is its stall count:
+    // the closed gate's replay, and an ICN stall for a head behind the
+    // full port (wakeCycle() lies ahead only while the port is full).
+    stats->prtStallCycles += scanPrtStalls * cycles;
+    if (!ldstQueue.empty())
+        stats->icnStallCycles += cycles;
 }
 
 void
@@ -670,7 +649,6 @@ StreamingMultiprocessor::deliverResponseSlot(std::uint32_t slot, Cycle now)
 {
     const MemoryAccess &access = slab.at(slot);
     RCOAL_ASSERT(!access.isWrite, "write response delivered to SM %u", id);
-    responseSinceTick = true;
     if (l1) {
         l1->release();
         l1->fill(access.blockAddr, access.bytes);
