@@ -59,8 +59,8 @@ printUsage(const std::string &driver, unsigned default_samples,
                 "                cycles between telemetry samples "
                 "(default 5000)\n"
                 "  --no-cycle-skipping\n"
-                "                force the legacy per-cycle simulation "
-                "loop (identical\n"
+                "                force the all-awake stepping "
+                "reference (identical\n"
                 "                output, lower simulator throughput)\n"
                 "  --dram-backend NAME\n"
                 "                DRAM personality: gddr5 (default), "

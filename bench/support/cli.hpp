@@ -21,7 +21,7 @@
  *   --telemetry-interval N
  *                 cycles between telemetry samples (default 5000)
  *   --no-cycle-skipping
- *                 force the legacy per-cycle simulation loop (disables
+ *                 force the all-awake stepping reference (disables
  *                 GpuConfig::cycleSkipping process-wide; equivalent to
  *                 RCOAL_CYCLE_SKIPPING=0). Output is identical either
  *                 way — this only trades simulator throughput.

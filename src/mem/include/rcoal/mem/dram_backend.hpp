@@ -19,7 +19,7 @@
  *
  * All three are validated by the same parameterized DramProtocolChecker
  * (checkerParamsFor()) and all three preserve the cycle-skipping
- * contract: DramPartition::nextEventCycle() folds the backend's extra
+ * contract: DramPartition::workBound() folds the backend's extra
  * constraints into its lower bound.
  */
 

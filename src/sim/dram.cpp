@@ -99,7 +99,6 @@ DramPartition::enqueueSlot(std::uint32_t slot, const DramLocation &loc)
     req.slot = slot;
     req.loc = loc;
     queue.push_back(req);
-    sleepUntil = 0; // New work: the no-op-tick proof no longer holds.
 }
 
 #if RCOAL_TRACE_ENABLED
@@ -275,15 +274,11 @@ DramPartition::issueCommands(Cycle now)
         }
     }
 
-    bool issued = false;
-    if (col_idx != npos) {
+    if (col_idx != npos)
         issueColumnAt(queue[col_idx], now);
-        issued = true;
-    }
-    if (act_idx != npos) {
+    if (act_idx != npos)
         issueActivateAt(queue[act_idx], now);
-        issued = true;
-    }
+    bool issued = col_idx != npos || act_idx != npos;
 
     if (pre_first != npos) {
         // Post-issue wanted mask, patched instead of re-walked: the
@@ -323,41 +318,22 @@ DramPartition::issueCommands(Cycle now)
     return issued;
 }
 
-void
+bool
 DramPartition::tick(Cycle now)
 {
-    // Memo fast path: a previous no-op tick proved that nothing this
-    // function does (retire, refresh, command issue) can happen before
-    // sleepUntil, so the FR-FCFS queue scans can be skipped outright.
-    // The memo is invalidated whenever new work arrives (enqueueSlot)
-    // or the observable surface changes (restore, checker/sink attach).
-    if (now < sleepUntil)
-        return;
-
-    bool worked = false;
-
     // Retire bursts that finished. earliestCompletion is exact (the
     // min in-flight completion), so the gate both skips retirement on
     // no-retire ticks and guarantees at least one when taken.
-    if (earliestCompletion <= now) {
+    const bool retired = earliestCompletion <= now;
+    if (retired)
         retireBursts(now);
-        worked = true;
-    }
-
-    const bool refreshed = maybeRefresh(now);
-    worked |= refreshed;
 
     // One command of each class per cycle approximates the command bus.
     // A refresh that just fired closed every bank and pushed all their
     // deadlines past now, so no command can legally issue this cycle.
-    if (!refreshed)
-        worked |= issueCommands(now);
-
-    // A tick that did nothing proves every tick before workBound() is a
-    // no-op too: every action above is gated on a deadline that only
-    // tick() itself advances.
-    if (!worked)
-        sleepUntil = workBound(now);
+    if (maybeRefresh(now))
+        return true;
+    return issueCommands(now) || retired;
 }
 
 void
@@ -374,22 +350,6 @@ DramPartition::retireBursts(Cycle now)
             next_retire = std::min(next_retire, fifo.front().completion);
     }
     earliestCompletion = next_retire;
-}
-
-Cycle
-DramPartition::nextEventCycle(Cycle now) const
-{
-    if (idle() && !refreshEnabled)
-        return kInvalidCycle;
-
-    Cycle bound = workBound(now);
-    // The machine drains `completed` on every one of its ticks, so a
-    // non-empty backlog means externally visible state next cycle. This
-    // term is deliberately absent from workBound(): draining is the
-    // machine's work, not tick()'s, so it must not shorten the memo.
-    if (!completed.empty())
-        bound = std::min(bound, now + 1);
-    return bound;
 }
 
 Cycle
@@ -483,7 +443,6 @@ DramPartition::reset()
     nextActivateGroup.assign(bt.bankGroups, 0);
     nextColumnAnyPc.assign(bt.pseudoChannels, 0);
     nextRefreshAt = bt.base.tREFI;
-    sleepUntil = 0;
     earliestCompletion = kInvalidCycle;
 }
 
@@ -541,7 +500,6 @@ DramPartition::restoreState(common::ArenaReader &r)
     r.podVector(nextActivateGroup);
     r.podVector(nextColumnAnyPc);
     r.pod(nextRefreshAt);
-    sleepUntil = 0; // Derived memo; never part of a snapshot.
     earliestCompletion = kInvalidCycle; // Idle: nothing serviced.
     RCOAL_ASSERT(busFreeAt.size() == bt.pseudoChannels &&
                      nextColumnGroup.size() == bt.bankGroups,

@@ -58,9 +58,7 @@ GpuMachine::GpuMachine(GpuConfig config)
       respXbar(cfg.numPartitions, cfg.numSms, cfg.icnLatency,
                cfg.icnQueueDepth, slab),
       respBacklog(cfg.numPartitions),
-      smBusy(cfg.numSms, false),
-      smWake(cfg.numSms, kInvalidCycle),
-      smSettled(cfg.numSms, 0)
+      smBusy(cfg.numSms, false)
 {
     sms.reserve(cfg.numSms);
     for (unsigned s = 0; s < cfg.numSms; ++s) {
@@ -88,6 +86,7 @@ GpuMachine::GpuMachine(GpuConfig config)
         }
     }
     skipEnabled = resolveCycleSkipping(cfg.cycleSkipping);
+    resetCalendar();
 }
 
 GpuMachine::~GpuMachine()
@@ -115,7 +114,9 @@ GpuMachine::setTracer(trace::Tracer *t)
     t->setCoreCyclesPerMemCycle(cfg.coreClockMhz / cfg.memClockMhz);
     attachedSinks.clear();
     // A sink pins a stalling SM to per-cycle ticks (SmStall events are
-    // per cycle), so each sleeping SM's bound is read again below.
+    // per cycle), so each sleeping SM's bound is read again below. The
+    // crossbar and DRAM bounds do not read their sinks: a tick they
+    // skip issues nothing, so it would have recorded nothing.
     const auto attach = [this](trace::TraceSink &sink) {
         attachedSinks.push_back(&sink);
         return &sink;
@@ -136,7 +137,7 @@ GpuMachine::setTracer(trace::Tracer *t)
     }
     machineSink = attach(t->sink("machine", trace::ClockDomain::Core));
     for (unsigned s = 0; s < cfg.numSms; ++s) {
-        if ((smAwake >> s & 1) == 0)
+        if (!smWakes.awake(s))
             rewakeSm(s);
     }
 }
@@ -196,7 +197,7 @@ GpuMachine::quiescent() const
 }
 
 MachineSnapshot
-GpuMachine::snapshot() const
+GpuMachine::snapshot()
 {
     RCOAL_ASSERT(quiescent(),
                  "snapshot requires a quiescent machine (no resident "
@@ -204,6 +205,8 @@ GpuMachine::snapshot() const
     RCOAL_ASSERT(slab.empty(),
                  "quiescent machine leaked %zu slab slots",
                  slab.liveCount());
+    reqXbar.advanceIdleCycles(xbarWakes.settle(0, nowCycle));
+    respXbar.advanceIdleCycles(xbarWakes.settle(1, nowCycle));
     static_assert(std::is_trivially_copyable_v<KernelStats>,
                   "KernelStats must stay memcpy-serializable");
     auto arena = std::make_shared<common::StateArena>();
@@ -304,12 +307,6 @@ GpuMachine::restore(const MachineSnapshot &snap)
     r.pod(memAccum);
     r.pod(skippedTotal);
     r.endRegion();
-    // Quiescent: every SM is idle, asleep with nothing to book.
-    smAwake = 0;
-    std::fill(smWake.begin(), smWake.end(), kInvalidCycle);
-    std::fill(smSettled.begin(), smSettled.end(), nowCycle);
-    smWakeMin = kInvalidCycle;
-    smPinnedAt = kInvalidCycle;
 
     for (auto &sm : sms) {
         r.beginRegion(kTagSm);
@@ -368,6 +365,7 @@ GpuMachine::restore(const MachineSnapshot &snap)
     r.endRegion();
 
     RCOAL_ASSERT(r.atEnd(), "snapshot arena has trailing bytes");
+    resetCalendar(); // After the DRAM timing its bounds read.
 }
 
 std::unique_ptr<GpuMachine>
@@ -405,11 +403,6 @@ GpuMachine::reset()
     memCycle = 0;
     memAccum = 0.0;
     skippedTotal = 0;
-    smAwake = 0;
-    std::fill(smWake.begin(), smWake.end(), kInvalidCycle);
-    std::fill(smSettled.begin(), smSettled.end(), 0);
-    smWakeMin = kInvalidCycle;
-    smPinnedAt = kInvalidCycle;
 
     for (auto &sm : sms)
         sm->hardReset();
@@ -417,6 +410,7 @@ GpuMachine::reset()
     respXbar.reset();
     for (auto &dram : drams)
         dram->reset();
+    resetCalendar();
     for (auto &front : l2) {
         front.cache->resetAll();
         if (front.mshr)
@@ -756,8 +750,10 @@ GpuMachine::launchStream(const KernelSource &kernel, SmRange range,
         sms[range.first + (w % range.count)]->assignWarp(
             w, &kernel.trace(w), partitioner.draw(launch_rng));
     }
-    for (unsigned s = range.first; s < range.first + range.count; ++s)
-        wakeSm(s, nowCycle);
+    for (unsigned s = range.first; s < range.first + range.count; ++s) {
+        if (!smWakes.awake(s))
+            rewakeSm(s);
+    }
 
     RCOAL_TRACE(machineSink, KernelLaunch, nowCycle, id, range.first,
                 range.count);
@@ -795,71 +791,74 @@ GpuMachine::checkCompletion(LaunchState &launch)
 }
 
 void
-GpuMachine::settleSm(unsigned s, Cycle through)
+GpuMachine::WakeSet::reset(std::size_t n, Cycle now, bool all_awake)
 {
-    RCOAL_ASSERT(through >= smSettled[s],
-                 "SM %u settled through %llu, then back to %llu", s,
-                 static_cast<unsigned long long>(smSettled[s]),
-                 static_cast<unsigned long long>(through));
-    sms[s]->applySkippedCycles(through - smSettled[s]);
-    smSettled[s] = through;
+    awakeBits = !all_awake ? 0 : ~std::uint64_t{0} >> (64 - n);
+    staleBits = 0;
+    wakeAt.assign(n, kInvalidCycle);
+    settled.assign(n, now);
+    minWake = kInvalidCycle;
+}
+
+Cycle
+GpuMachine::WakeSet::next(Cycle now) const
+{
+    if (awakeBits != 0)
+        return now + 1;
+    Cycle bound = kInvalidCycle;
+    for (const Cycle wake : wakeAt)
+        bound = std::min(bound, wake);
+    return bound;
 }
 
 void
-GpuMachine::settleSleepingSms()
+GpuMachine::resetCalendar()
 {
-    for (unsigned s = 0; s < cfg.numSms; ++s) {
-        if ((smAwake >> s & 1) == 0)
-            settleSm(s, nowCycle);
-    }
-}
-
-void
-GpuMachine::wakeSm(unsigned s, Cycle through)
-{
-    const std::uint64_t bit = std::uint64_t{1} << s;
-    if ((smAwake & bit) != 0)
+    smWakes.reset(cfg.numSms, nowCycle, !skipEnabled);
+    xbarWakes.reset(2, nowCycle, !skipEnabled);
+    dramWakes.reset(cfg.numPartitions, memCycle, !skipEnabled);
+    smPinnedAt = kInvalidCycle;
+    if (!skipEnabled)
         return;
-    settleSm(s, through);
-    smAwake |= bit;
+    // Idle SMs and crossbars have no bound; a refreshing DRAM does.
+    for (unsigned p = 0; p < cfg.numPartitions; ++p)
+        dramWakes.update(p, drams[p]->workBound(memCycle), memCycle);
 }
 
 void
 GpuMachine::rewakeSm(unsigned s)
 {
-    const Cycle wake = sms[s]->wakeCycle(nowCycle);
-    if (wake <= nowCycle + 1) {
-        wakeSm(s, nowCycle);
-        return;
-    }
-    smWake[s] = wake;
-    smWakeMin = std::min(smWakeMin, wake);
+    sms[s]->applySkippedCycles(
+        smWakes.update(s, sms[s]->wakeCycle(nowCycle), nowCycle));
 }
 
 void
-GpuMachine::wakeDueSms()
+GpuMachine::settleSleepingSms()
 {
-    // The SMs due now tick this cycle; their skipped ticks end with the
-    // previous one.
-    Cycle next = kInvalidCycle;
-    for (unsigned s = 0; s < cfg.numSms; ++s) {
-        if ((smAwake >> s & 1) != 0)
-            continue;
-        if (smWake[s] <= nowCycle)
-            wakeSm(s, nowCycle - 1);
-        else
-            next = std::min(next, smWake[s]);
-    }
-    smWakeMin = next;
+    for (unsigned s = 0; s < cfg.numSms; ++s)
+        sms[s]->applySkippedCycles(smWakes.settle(s, nowCycle));
 }
 
 void
-GpuMachine::parkSm(unsigned s, Cycle wake)
+GpuMachine::rereadXbar(unsigned x)
 {
-    smAwake &= ~(std::uint64_t{1} << s);
-    smWake[s] = wake;
-    smSettled[s] = nowCycle;
-    smWakeMin = std::min(smWakeMin, wake);
+    Crossbar &xbar = x == 0 ? reqXbar : respXbar;
+    xbar.advanceIdleCycles(
+        xbarWakes.update(x, xbar.nextEventCycle(nowCycle), nowCycle));
+}
+
+void
+GpuMachine::rereadStale()
+{
+    for (std::uint64_t stale = xbarWakes.staleMask(); stale != 0;
+         stale &= stale - 1) {
+        rereadXbar(static_cast<unsigned>(std::countr_zero(stale)));
+    }
+    for (std::uint64_t stale = dramWakes.staleMask(); stale != 0;
+         stale &= stale - 1) {
+        const auto p = static_cast<unsigned>(std::countr_zero(stale));
+        dramWakes.update(p, drams[p]->workBound(memCycle), memCycle);
+    }
 }
 
 void
@@ -868,28 +867,53 @@ GpuMachine::tick()
     ++nowCycle;
     RCOAL_ASSERT(nowCycle < kMaxCycles, "simulator deadlock suspected");
 
-    // 1. Cores issue and inject: only the SMs in the wake set. An SM
-    // whose wake lies past the next cycle leaves the set, since its
-    // ticks until then would only repeat its stall counts.
-    if (nowCycle >= smWakeMin)
-        wakeDueSms();
-    for (std::uint64_t awake = smAwake; awake != 0; awake &= awake - 1) {
+    // 1. Cores issue and inject: only the awake SMs. An SM whose wake
+    // lies past the next cycle sleeps, since its ticks until then would
+    // only repeat its stall counts.
+    smWakes.wakeDue(nowCycle, [this](unsigned s, Cycle ticks) {
+        sms[s]->applySkippedCycles(ticks);
+    });
+    for (std::uint64_t awake = smWakes.awakeMask(); awake != 0;
+         awake &= awake - 1) {
         const auto s = static_cast<unsigned>(std::countr_zero(awake));
         StreamingMultiprocessor &sm = *sms[s];
         if (sm.tick(nowCycle))
             smPinnedAt = nowCycle;
+        if (!skipEnabled)
+            continue;
         const Cycle wake = sm.wakeCycle(nowCycle);
         if (wake > nowCycle + 1)
-            parkSm(s, wake);
+            smWakes.update(s, wake, nowCycle);
     }
+    // An SM tick that moved something may have injected a packet, which
+    // the request crossbar can grant icnLatency cycles later.
+    if (smPinnedAt == nowCycle)
+        xbarWakes.lower(0, nowCycle + cfg.icnLatency);
 
     // 2. Interconnect moves packets (core clock domain). A grant that
     // pops a sleeping SM's full input port lets its LD/ST head inject.
-    for (std::uint64_t popped = reqXbar.tick(nowCycle) & ~smAwake;
-         popped != 0; popped &= popped - 1) {
-        rewakeSm(static_cast<unsigned>(std::countr_zero(popped)));
+    xbarWakes.wakeDue(nowCycle, [this](unsigned x, Cycle ticks) {
+        (x == 0 ? reqXbar : respXbar).advanceIdleCycles(ticks);
+    });
+    // A grantless tick proves the bound now; one that granted leaves the
+    // crossbar awake until the calendar reads it.
+    if (xbarWakes.awake(0)) {
+        const std::uint64_t popped = reqXbar.tick(nowCycle);
+        if (popped != 0)
+            xbarWakes.lower(0);
+        else if (skipEnabled)
+            rereadXbar(0);
+        for (std::uint64_t asleep = popped & ~smWakes.awakeMask();
+             asleep != 0; asleep &= asleep - 1) {
+            rewakeSm(static_cast<unsigned>(std::countr_zero(asleep)));
+        }
     }
-    respXbar.tick(nowCycle);
+    if (xbarWakes.awake(1)) {
+        if (respXbar.tick(nowCycle) != 0)
+            xbarWakes.lower(1);
+        else if (skipEnabled)
+            rereadXbar(1);
+    }
 
     // 3. Request-crossbar ejection into L2/DRAM. Iterating the ready
     // mask's set bits skips the (typically many) empty output ports.
@@ -908,6 +932,7 @@ GpuMachine::tick()
                 break;
             }
             const std::uint32_t pkt = reqXbar.popOutputSlot(p);
+            xbarWakes.lower(0, nowCycle + 1); // Its output has room.
             MemoryAccess &access = slab.at(pkt);
 #if RCOAL_TRACE_ENABLED
             if (spanCollector != nullptr) {
@@ -955,13 +980,11 @@ GpuMachine::tick()
                     // travelling to DRAM while the waiting requests
                     // ride the MSHR entry until the fill returns.
                     l2[p].mshr->allocate(access.blockAddr, access);
-                    const DramLocation loc =
-                        mapping.decode(access.blockAddr);
-                    drams[p]->enqueueSlot(pkt, loc);
-                    continue;
                 }
             }
+            // New work: the partition ticks at the next memory cycle.
             drams[p]->enqueueSlot(pkt, mapping.decode(access.blockAddr));
+            dramWakes.lower(p, memCycle + 1);
         }
     }
 
@@ -972,8 +995,15 @@ GpuMachine::tick()
     while (memAccum >= cfg.coreClockMhz) {
         memAccum -= cfg.coreClockMhz;
         ++memCycle;
-        for (auto &dram : drams)
-            dram->tick(memCycle);
+        dramWakes.wakeDue(memCycle, [](unsigned, Cycle) {});
+        for (std::uint64_t awake = dramWakes.awakeMask(); awake != 0;
+             awake &= awake - 1) {
+            const auto p = static_cast<unsigned>(std::countr_zero(awake));
+            if (drams[p]->tick(memCycle))
+                dramWakes.lower(p);
+            else if (skipEnabled)
+                dramWakes.update(p, drams[p]->workBound(memCycle), memCycle);
+        }
     }
 
     // 5. DRAM completions and L2 hit responses feed the response
@@ -1046,6 +1076,7 @@ GpuMachine::tick()
             resp.spanXbarInject = nowCycle; // Response leg starts.
 #endif
             respXbar.injectSlot(p, resp.smId, pkt, nowCycle);
+            xbarWakes.lower(1, nowCycle + cfg.icnLatency);
         }
     }
 
@@ -1056,6 +1087,7 @@ GpuMachine::tick()
         smPinnedAt = nowCycle;
         while (respXbar.outputReady(s)) {
             const std::uint32_t pkt = respXbar.popOutputSlot(s);
+            xbarWakes.lower(1, nowCycle + 1); // Its output has room.
 #if RCOAL_TRACE_ENABLED
             if (spanCollector != nullptr) {
                 const MemoryAccess &resp = slab.at(pkt);
@@ -1071,7 +1103,7 @@ GpuMachine::tick()
         }
         // A completion that reopens the scan gate wakes a sleeping SM;
         // any other leaves its stall counts as they were.
-        if ((smAwake >> s & 1) == 0)
+        if (!smWakes.awake(s))
             rewakeSm(s);
     }
 
@@ -1079,7 +1111,13 @@ GpuMachine::tick()
     for (auto &[slot, launch] : active)
         checkCompletion(launch);
 
-    // 8. Telemetry sampling, post-tick so a sample sees this cycle's
+    // 8. While an SM pins nextEventCycle() to now + 1 nothing reads
+    // the rest of the calendar; once none does, its stale entries are
+    // read, so each is its component's bound when the calendar is read.
+    if (skipEnabled && smPinnedAt != nowCycle && smWakes.awakeMask() == 0)
+        rereadStale();
+
+    // 9. Telemetry sampling, post-tick so a sample sees this cycle's
     // final state. nextEventCycle() never exceeds the sampler bound, so
     // stepped and skipping execution both arrive here with nowCycle
     // exactly equal to the due sample cycle (sampleAt asserts it).
@@ -1092,10 +1130,8 @@ GpuMachine::tick()
 Cycle
 GpuMachine::nextEventCycle() const
 {
-    // A busy machine is pinned to now + 1 by its first active
-    // component; bail out of the sweep as soon as the bound cannot
-    // drop further, so the per-tick cost of consulting the bound stays
-    // negligible on event-dense stretches.
+    // A busy machine is pinned to now + 1 by its first awake component;
+    // bail out as soon as the bound cannot drop further.
     const Cycle pinned = nowCycle + 1;
     Cycle bound = kInvalidCycle;
     // The sampler bound comes first: folding it in here is what makes
@@ -1103,34 +1139,23 @@ GpuMachine::nextEventCycle() const
     // exists.
     if (telemetrySampler != nullptr)
         bound = telemetrySampler->nextSampleCycle();
+    if (bound <= pinned || smPinnedAt == nowCycle)
+        return std::min(bound, pinned);
+    // The core-domain calendar: the SMs and both crossbars.
+    bound = std::min(
+        {bound, smWakes.next(nowCycle), xbarWakes.next(nowCycle)});
     if (bound <= pinned)
         return bound;
-    // An SM that ticks next cycle, or whose tick or delivery this cycle
-    // moved something, pins the bound; a sleeping SM's is its wake.
-    if (smAwake != 0 || smPinnedAt == nowCycle)
-        return pinned;
-    for (const Cycle wake : smWake)
-        bound = std::min(bound, wake);
-    if (bound <= pinned)
-        return bound;
-    bound = std::min(bound, reqXbar.nextEventCycle(nowCycle));
-    if (bound <= pinned)
-        return bound;
-    bound = std::min(bound, respXbar.nextEventCycle(nowCycle));
-    if (bound <= pinned)
-        return bound;
+    // The machine's own hand-offs: a request-crossbar ejection a DRAM
+    // retirement made room for, and L2 hits. (A tick leaves no response
+    // backlog the response crossbar could take.)
     for (unsigned p = 0; p < cfg.numPartitions; ++p) {
-        // Pending machine-level movement next tick: a request-crossbar
-        // ejection the DRAM can take, or a backlogged response the
-        // response crossbar can take.
         if (reqXbar.outputReady(p) && drams[p]->canAccept())
-            return nowCycle + 1;
-        if (!respBacklog[p].empty() && respXbar.canInject(p))
-            return nowCycle + 1;
+            return pinned;
         if (cfg.l2Enabled && !l2[p].pendingHits.empty()) {
             bound = std::min(bound,
                              std::max(l2[p].pendingHits.front().first,
-                                      nowCycle + 1));
+                                      pinned));
         }
     }
     return bound;
@@ -1178,29 +1203,23 @@ replaySkip(const GpuConfig &cfg, Cycle target, Cycle mem_target,
 Cycle
 GpuMachine::skipStopCycle(Cycle target) const
 {
-    Cycle mem_target = kInvalidCycle;
-    for (const auto &dram : drams)
-        mem_target = std::min(mem_target, dram->nextEventCycle(memCycle));
-    return replaySkip(cfg, target, mem_target, nowCycle, memCycle,
-                      memAccum)
+    return replaySkip(cfg, target, dramWakes.next(memCycle), nowCycle,
+                      memCycle, memAccum)
         .now;
 }
 
 Cycle
 GpuMachine::skipTo(Cycle target)
 {
-    // The DRAMs run in the memory-clock domain: find the first memory
-    // cycle at which any partition could change state, then advance
-    // core cycles only while their memory-clock crossings stay below
+    // The DRAMs run in the memory-clock domain: the calendar's first
+    // memory cycle at which any partition could change state stops the
+    // skip before the core cycle whose memory-clock crossing reaches
     // it. The accumulator arithmetic replays tick()'s exact per-cycle
     // operation sequence (peek, then commit) so the clock-domain state
     // is bit-identical to stepping.
-    Cycle mem_target = kInvalidCycle;
-    for (const auto &dram : drams)
-        mem_target = std::min(mem_target, dram->nextEventCycle(memCycle));
-
     const ClockDomainSkip state = replaySkip(
-        cfg, target, mem_target, nowCycle, memCycle, memAccum);
+        cfg, target, dramWakes.next(memCycle), nowCycle, memCycle,
+        memAccum);
     const Cycle new_now = state.now;
     const Cycle new_mem = state.mem;
     const double new_accum = state.accum;
@@ -1208,16 +1227,16 @@ GpuMachine::skipTo(Cycle target)
     const Cycle skipped = new_now - nowCycle;
     if (skipped == 0)
         return 0;
-    // An awake SM pins nextEventCycle() to now + 1, so a legal skip
-    // finds every SM asleep; their stall counts are booked when they
-    // wake or are read (settleSm).
-    RCOAL_ASSERT(smAwake == 0, "skipTo(%llu) past a cycle an SM must tick",
+    // An awake SM or crossbar pins nextEventCycle() to now + 1, so a
+    // legal skip finds them all asleep; they book the window when they
+    // wake or are read.
+    RCOAL_ASSERT(smWakes.awakeMask() == 0 && xbarWakes.awakeMask() == 0 &&
+                     (xbarWakes.staleMask() | dramWakes.staleMask()) == 0,
+                 "skipTo(%llu) past a cycle a component must tick",
                  static_cast<unsigned long long>(target));
     nowCycle = new_now;
     memCycle = new_mem;
     memAccum = new_accum;
-    reqXbar.advanceIdleCycles(skipped);
-    respXbar.advanceIdleCycles(skipped);
     skippedTotal += skipped;
     return skipped;
 }
@@ -1277,8 +1296,12 @@ GpuMachine::take(LaunchId id)
          s < launch.range.first + launch.range.count; ++s) {
         sms[s]->reset();
         smBusy[s] = false;
-        parkSm(s, kInvalidCycle); // Idle until its next launch.
+        if (skipEnabled)
+            smWakes.update(s, kInvalidCycle, nowCycle); // Idle.
     }
+    // With the range's SMs asleep, nothing may pin the calendar now.
+    if (skipEnabled)
+        rereadStale();
     busyCount -= launch.range.count;
     active.erase(it);
     return stats;

@@ -152,14 +152,15 @@ struct GpuConfig
     std::uint32_t protectedTagMask = 1u << 3; // LastRoundLookup
 
     /**
-     * Event-driven idle-cycle skipping. When on, GpuMachine::runUntilDone
-     * consults each component's nextEventCycle() lower bound and
-     * fast-forwards over provably idle stretches instead of ticking every
-     * core cycle. Timing is exact either way — cross-check tests enforce
-     * byte-identical KernelStats/traces/attack results — so this is purely
-     * a simulator-throughput switch. Force the legacy per-cycle loop with
-     * cycleSkipping=false, RCOAL_CYCLE_SKIPPING=0, or a bench driver's
-     * --no-cycle-skipping flag.
+     * Event-driven cycle skipping. When on, GpuMachine's wake calendar
+     * ticks only the components whose bound has arrived, and
+     * runUntilDone fast-forwards over stretches where none has. When
+     * off, every component ticks every cycle: the all-awake reference
+     * the skip-vs-step tests hold the calendar to. Timing is exact
+     * either way (byte-identical KernelStats, traces and attack
+     * results), so this is purely a simulator-throughput switch. Select
+     * the reference with cycleSkipping=false, RCOAL_CYCLE_SKIPPING=0,
+     * or a bench driver's --no-cycle-skipping flag.
      */
     bool cycleSkipping = true;
 
@@ -184,8 +185,9 @@ struct GpuConfig
 };
 
 /**
- * Process-wide override for GpuConfig::cycleSkipping: 0 forces the legacy
- * per-cycle loop, 1 forces skipping, -1 (default) clears the override.
+ * Process-wide override for GpuConfig::cycleSkipping: 0 forces the
+ * all-awake stepping reference, 1 forces skipping, -1 (default) clears
+ * the override.
  * Bench CLIs set this from --no-cycle-skipping.
  */
 void setCycleSkippingOverride(int forced);

@@ -64,17 +64,23 @@ class DramPartition
      */
     void enqueueSlot(std::uint32_t slot, const DramLocation &loc);
 
-    /** Advance one memory cycle: issue up to one READ/WRITE, ACT, PRE. */
-    void tick(Cycle now);
+    /**
+     * Advance one memory cycle: retire finished bursts, fire a due
+     * refresh, or issue up to one READ/WRITE, ACT and PRE. Returns true
+     * when it did any of these.
+     */
+    bool tick(Cycle now);
 
     /**
      * Conservative lower bound (>= now + 1, memory-clock domain) on the
-     * next cycle at which a tick() could change partition state: burst
-     * retirement, a column/ACT/PRE issue becoming legal, or a refresh
-     * becoming due/unblocked. kInvalidCycle when the partition is idle
-     * and refresh is off.
+     * next cycle at which tick() could do work: retire a burst, fire a
+     * refresh or its becoming due, or legally issue a command. Every
+     * tick before it is a no-op until enqueueSlot() adds work. Draining
+     * `completed` is the machine's work, not tick()'s, so the backlog
+     * plays no part. kInvalidCycle when the partition is idle and
+     * refresh is off.
      */
-    Cycle nextEventCycle(Cycle now) const;
+    Cycle workBound(Cycle now) const;
 
     /**
      * True when a serviced access awaits pickup. Every one retired at a
@@ -136,18 +142,10 @@ class DramPartition
      * validated as it issues. Null detaches. Not gated by RCOAL_TRACE:
      * checking is a test-mode feature of every build.
      */
-    void setChecker(trace::DramProtocolChecker *c)
-    {
-        checker = c;
-        sleepUntil = 0;
-    }
+    void setChecker(trace::DramProtocolChecker *c) { checker = c; }
 
     /** Attach a sink for ACT/PRE/RD/REF trace events (memory domain). */
-    void setTraceSink(trace::TraceSink *s)
-    {
-        traceSink = s;
-        sleepUntil = 0;
-    }
+    void setTraceSink(trace::TraceSink *s) { traceSink = s; }
 
     /**
      * Return to the freshly-constructed state (must be idle()): bank
@@ -201,17 +199,6 @@ class DramPartition
     void retireBursts(Cycle now);
     bool maybeRefresh(Cycle now);
     bool refreshDue(Cycle now) const;
-
-    /**
-     * Conservative lower bound (>= now + 1) on the next memory cycle at
-     * which tick() itself could do work: retire a burst, fire a
-     * refresh, or legally issue a command. This is nextEventCycle()
-     * minus the completed-backlog term (draining `completed` is the
-     * machine's work, not tick()'s), and it is what the sleepUntil memo
-     * caches: a tick that did nothing proves every tick before the
-     * bound is a no-op, so their queue scans can be skipped outright.
-     */
-    Cycle workBound(Cycle now) const;
 
     unsigned
     groupOf(unsigned bank) const
@@ -274,13 +261,6 @@ class DramPartition
     std::vector<Cycle> nextColumnAnyPc;   ///< tCCD_S per pseudo-channel.
     bool refreshEnabled = false;
     Cycle nextRefreshAt = 0;          ///< Next all-bank refresh.
-    /**
-     * Memo: tick() is a provable no-op before this memory cycle (see
-     * workBound()). Purely derived state — never serialized, reset to 0
-     * by anything that could create work or change observers (enqueue,
-     * restore, checker/sink attach).
-     */
-    Cycle sleepUntil = 0;
     /**
      * Exact min completion among bursts in flight, i.e. over the
      * in-flight FIFO heads (kInvalidCycle when none): gates the

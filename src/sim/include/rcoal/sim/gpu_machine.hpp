@@ -18,6 +18,7 @@
 #ifndef RCOAL_SIM_GPU_MACHINE_HPP
 #define RCOAL_SIM_GPU_MACHINE_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <unordered_map>
@@ -130,10 +131,9 @@ class GpuMachine
      * intervenes. Only legal when the cycles jumped over are provably
      * uneventful, i.e. @p target must not exceed nextEventCycle(). The
      * clock-domain state (memCycle/memAccum) is advanced by replaying
-     * the exact per-cycle accumulator arithmetic of tick(), and the
-     * crossbars' arbitration rotation is applied in bulk; the sleeping
-     * SMs book their stall counts for the window when they next wake
-     * or are read. Returns the cycles skipped.
+     * the exact per-cycle accumulator arithmetic of tick(); nothing
+     * else moves, since every component is asleep and books the window
+     * when it next wakes or is read. Returns the cycles skipped.
      */
     Cycle skipTo(Cycle target);
 
@@ -272,8 +272,9 @@ class GpuMachine
      * quiescent(). The snapshot captures the warm memory hierarchy,
      * DRAM timing horizons, clock-domain phase, counters, and the
      * current seed — everything a fork needs to continue bit-exactly.
+     * Not const: it first books the sleeping crossbars' rotation.
      */
-    MachineSnapshot snapshot() const;
+    MachineSnapshot snapshot();
 
     /**
      * Overwrite this machine's state from @p snap. The machine must be
@@ -331,29 +332,136 @@ class GpuMachine
     void checkCompletion(LaunchState &launch);
 
     /**
-     * Book SM @p s's frozen stall counts for the cycles after
-     * smSettled[s] through @p through (applySkippedCycles()' rule).
+     * One slice of the wake calendar (DESIGN decision 9): entry i is
+     * awake, ticking every cycle of its clock, or asleep until
+     * wakeAt[i]. A sleeping entry's ticks would only have repeated what
+     * its settle replays (an SM's stall counts, a crossbar's rotation),
+     * so they are booked lazily: settle(), update() and wakeDue() hand
+     * back the cycles since settled[i] for the caller to replay. A stale
+     * entry may lie below its component's bound (its tick did work, or
+     * an input reached it); update() makes it exact again.
      */
-    void settleSm(unsigned s, Cycle through);
+    class WakeSet
+    {
+      public:
+        /** @p n entries, all awake or all asleep and idle at @p now. */
+        void reset(std::size_t n, Cycle now, bool all_awake);
 
-    /** settleSm() every SM outside the wake set through now(). */
-    void settleSleepingSms();
+        bool awake(unsigned i) const { return (awakeBits >> i & 1) != 0; }
+        std::uint64_t awakeMask() const { return awakeBits; }
+        std::uint64_t staleMask() const { return staleBits; }
 
-    /** Settle sleeping SM @p s through @p through and add it to smAwake. */
-    void wakeSm(unsigned s, Cycle through);
+        /** now + 1 while an entry is awake, else the earliest wake. */
+        Cycle next(Cycle now) const;
+
+        /**
+         * Record entry i's bound, read at @p now right after its tick
+         * or an input: it stays or becomes awake iff @p bound is
+         * now + 1, else it sleeps until @p bound. An awake entry has
+         * ticked at @p now. Returns the ticks a waking entry replays.
+         */
+        Cycle
+        update(unsigned i, Cycle bound, Cycle now)
+        {
+            const std::uint64_t bit = std::uint64_t{1} << i;
+            staleBits &= ~bit;
+            if (bound <= now + 1)
+                return wake(i, now);
+            if ((awakeBits & bit) != 0) {
+                awakeBits &= ~bit;
+                settled[i] = now;
+            }
+            wakeAt[i] = bound;
+            minWake = std::min(minWake, bound);
+            return 0;
+        }
+
+        /**
+         * Entry i did work, or an input reached it that it can act on at
+         * @p wake: mark it stale, and wake it by then.
+         */
+        void
+        lower(unsigned i, Cycle wake = kInvalidCycle)
+        {
+            staleBits |= std::uint64_t{1} << i;
+            if (!awake(i) && wake < wakeAt[i]) {
+                wakeAt[i] = wake;
+                minWake = std::min(minWake, wake);
+            }
+        }
+
+        /** Book sleeping entry i through @p through (0 when awake). */
+        Cycle
+        settle(unsigned i, Cycle through)
+        {
+            if (awake(i))
+                return 0;
+            RCOAL_ASSERT(through >= settled[i],
+                         "entry %u settled through %llu, then back to %llu",
+                         i, static_cast<unsigned long long>(settled[i]),
+                         static_cast<unsigned long long>(through));
+            const Cycle ticks = through - settled[i];
+            settled[i] = through;
+            return ticks;
+        }
+
+        /**
+         * Wake every sleeping entry whose wake is due at @p now: it
+         * ticks now, so @p replay(i, ticks) books it through now - 1.
+         */
+        template <typename Replay>
+        void
+        wakeDue(Cycle now, Replay replay)
+        {
+            if (now < minWake)
+                return;
+            Cycle next_wake = kInvalidCycle;
+            for (unsigned i = 0; i < wakeAt.size(); ++i) {
+                if (awake(i))
+                    continue;
+                if (wakeAt[i] <= now)
+                    replay(i, wake(i, now - 1));
+                else
+                    next_wake = std::min(next_wake, wakeAt[i]);
+            }
+            minWake = next_wake;
+        }
+
+      private:
+        /** Put entry i in the awake set; returns its unbooked ticks. */
+        Cycle
+        wake(unsigned i, Cycle through)
+        {
+            const Cycle ticks = settle(i, through);
+            awakeBits |= std::uint64_t{1} << i;
+            return ticks;
+        }
+
+        std::uint64_t awakeBits = 0;
+        std::uint64_t staleBits = 0;
+        std::vector<Cycle> wakeAt;  ///< Sleeping entry i: its bound.
+        std::vector<Cycle> settled; ///< Entry i: last booked cycle.
+        /** At most every sleeping wakeAt; wakeDue() makes it exact. */
+        Cycle minWake = kInvalidCycle;
+    };
+
+    /** Start the calendar over: idle, or all awake when stepping. */
+    void resetCalendar();
 
     /**
      * Re-read sleeping SM @p s's wakeCycle() after an input that can
-     * lower it; wake the SM (settled through now()) when it is now + 1,
-     * else keep it asleep with the new wake.
+     * lower it, waking it (settled through now()) when it is now + 1.
      */
     void rewakeSm(unsigned s);
 
-    /** Wake every sleeping SM whose timed wake is due this cycle. */
-    void wakeDueSms();
+    /** Book every sleeping SM's stall counts through now(). */
+    void settleSleepingSms();
 
-    /** Take SM @p s out of the wake set until cycle @p wake. */
-    void parkSm(unsigned s, Cycle wake);
+    /** Re-read crossbar @p x's bound (0 = request, 1 = response). */
+    void rereadXbar(unsigned x);
+
+    /** Re-read every stale crossbar and DRAM entry. */
+    void rereadStale();
 
     GpuConfig cfg;
     core::SubwarpPartitioner partitioner;
@@ -381,32 +489,28 @@ class GpuMachine
     std::unordered_map<std::uint32_t, LaunchState> active;
     std::vector<bool> smBusy; ///< SM -> allocated to a launch.
     /**
-     * The SM wake set (DESIGN decision 17): bit s is set iff SM s ticks
-     * next cycle. An SM whose wakeCycle() lies past the next cycle
-     * leaves the set after its tick, because every tick until then
-     * would only repeat its stall counts. It re-enters the set when that
-     * cycle arrives or an input that can change it reaches the SM: a
-     * request-crossbar grant popped its input port, a delivered response
-     * reopened its scan gate, a warp was assigned to it, or a trace sink
-     * was attached. Its skipped stall counts are booked lazily
-     * (settleSm) before it ticks again and before anything reads them:
-     * a telemetry sample, take() and cumulativeStats(). So every awake
-     * SM's wake is now + 1 after a tick, and skipTo() runs only with
-     * the set empty.
+     * The wake calendar (DESIGN decision 9): one WakeSet per kind of
+     * component, in its own clock. tick() runs only the awake entries,
+     * nextEventCycle() reads the core-domain minimum (SMs and the two
+     * crossbars, entry 0 = reqXbar, 1 = respXbar), and skipTo() the
+     * DRAM partitions' minimum, in memory cycles. An SM's bound is
+     * read after each of its ticks and inputs. A crossbar or partition
+     * whose tick did nothing has its bound read at once; one whose tick
+     * did work, or that took an input (an inject, a pop, an enqueue),
+     * stays awake and stale until the SMs stop pinning the machine to
+     * now + 1, which is when the calendar's minimum is next read. With
+     * cycle skipping off nothing ever parks: stepping is the all-awake
+     * reference the skip-vs-step tests compare against.
      */
-    std::uint64_t smAwake = 0;
+    WakeSet smWakes;
+    WakeSet xbarWakes;
+    WakeSet dramWakes;
     /**
      * The last cycle an SM tick moved something or a response reached
      * an SM: nextEventCycle() is now + 1 then, as it was when every SM
      * ticked every cycle, so skip decisions do not move.
      */
     Cycle smPinnedAt = kInvalidCycle;
-    /** Sleeping SM s: its wakeCycle() (kInvalidCycle when idle). */
-    std::vector<Cycle> smWake;
-    /** Sleeping SM s: the last cycle whose stall counts are booked. */
-    std::vector<Cycle> smSettled;
-    /** At most every sleeping SM's smWake; wakeDueSms() makes it exact. */
-    Cycle smWakeMin = kInvalidCycle;
     /**
      * Set bits of smBusy, maintained at launch and take: the serve and
      * fleet frontends read busySms() every loop step (asserted against

@@ -78,17 +78,24 @@ class Crossbar
      * Conservative lower bound on the next cycle (>= now + 1) at which a
      * tick() could move a packet: the earliest readyAt among input-queue
      * heads whose destination has queue space. kInvalidCycle when no
-     * tick can ever move anything from the current state. Ejections and
-     * injections are driven by the machine/SMs, so they need no bound
-     * here; only the state `tick` itself mutates counts.
+     * tick can move anything until an input arrives: an injectSlot()
+     * (a new head) or a popOutputSlot() (an output regains space).
      */
     Cycle nextEventCycle(Cycle now) const;
 
     /**
-     * Account for @p cycles skipped ticks during which (provably) no
-     * packet could move: only the rotating arbitration pointer advances.
+     * Account for @p cycles ticks skipped while nextEventCycle() lay
+     * ahead: a grantless tick only advances the rotating arbitration
+     * pointer (with nothing grantable, the grants do not depend on it).
      */
-    void advanceIdleCycles(Cycle cycles);
+    void
+    advanceIdleCycles(Cycle cycles)
+    {
+        if (cycles != 0) {
+            rrPointer = static_cast<unsigned>(
+                (rrPointer + cycles % numInputs) % numInputs);
+        }
+    }
 
     /** True when output port @p output has a packet to eject. */
     bool
@@ -119,11 +126,7 @@ class Crossbar
     std::size_t queuedPackets() const;
 
     /** Attach a sink for inject/grant trace events (core domain). */
-    void setTraceSink(trace::TraceSink *s)
-    {
-        traceSink = s;
-        sleepUntil = 0;
-    }
+    void setTraceSink(trace::TraceSink *s) { traceSink = s; }
 
     /** Return to the freshly-constructed state (must be idle()). */
     void reset();
@@ -195,15 +198,6 @@ class Crossbar
     std::uint64_t outputsFull = 0;
     unsigned rrPointer = 0; ///< Rotating input priority.
     std::uint64_t transferred = 0;
-    /**
-     * Memo: tick() cannot grant before this cycle (it still advances
-     * rrPointer, exactly as a grantless tick would). Set when a tick
-     * grants nothing, to that tick's nextEventCycle(); invalidated by
-     * ejections (backpressure may clear) and clamped by injections (a
-     * new packet matures latency cycles later). Purely derived state —
-     * never serialized, reset to 0 on restore.
-     */
-    Cycle sleepUntil = 0;
     trace::TraceSink *traceSink = nullptr;
 };
 

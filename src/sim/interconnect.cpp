@@ -78,26 +78,11 @@ Crossbar::injectSlot(unsigned input, unsigned output, std::uint32_t slot,
         headReadyAt[input] = now + latency;
         headsPending |= std::uint64_t{1} << input;
     }
-    // The new packet matures at now + latency; nothing it enables can
-    // happen sooner, so clamping (rather than clearing) the memo keeps
-    // saturated-injection phases from losing the no-grant fast path.
-    sleepUntil = std::min(sleepUntil, now + latency);
 }
 
 std::uint64_t
 Crossbar::tick(Cycle now)
 {
-    // Memo fast path: a previous grantless tick proved no grant can
-    // happen before sleepUntil, so skip the arbitration scan. Only the
-    // rotating pointer advances — exactly what a grantless full tick
-    // would have done (with zero grantable heads the grant outcome is
-    // rrPointer-independent), so the skip is byte-identical.
-    if (now < sleepUntil) {
-        if (++rrPointer == numInputs)
-            rrPointer = 0;
-        return 0;
-    }
-
     // Output-major arbitration from the pre-tick head masks. Each input
     // contributes exactly its queue head, and a head targets exactly one
     // output, so the per-output candidate sets partition the non-empty
@@ -149,12 +134,6 @@ Crossbar::tick(Cycle now)
         refreshHead(in, out, now);
         ++transferred;
     }
-    if (grants == 0) {
-        // Every blocked head stays blocked until its readyAt matures or
-        // an ejection clears backpressure (which resets the memo), so
-        // the grantless verdict holds until nextEventCycle().
-        sleepUntil = nextEventCycle(now);
-    }
     // rrPointer stays < numInputs, so the rotation is a compare, not a
     // division — this runs every core cycle for every crossbar.
     if (++rrPointer == numInputs)
@@ -183,13 +162,6 @@ Crossbar::nextEventCycle(Cycle now) const
     return bound;
 }
 
-void
-Crossbar::advanceIdleCycles(Cycle cycles)
-{
-    rrPointer = static_cast<unsigned>(
-        (rrPointer + cycles % numInputs) % numInputs);
-}
-
 std::uint32_t
 Crossbar::popOutputSlot(unsigned output)
 {
@@ -202,7 +174,6 @@ Crossbar::popOutputSlot(unsigned output)
         outputsNonEmpty &= ~(std::uint64_t{1} << output);
     RCOAL_ASSERT(resident > 0, "resident-packet counter underflow");
     --resident;
-    sleepUntil = 0; // Ejection may unblock a backpressured head.
     return slot;
 }
 
@@ -232,7 +203,6 @@ Crossbar::reset()
     RCOAL_ASSERT(idle(), "crossbar reset with packets in flight");
     rrPointer = 0;
     transferred = 0;
-    sleepUntil = 0;
     outputsNonEmpty = 0; // Idle: every output queue is empty.
     headsNonEmpty = 0;   // Idle: no input has a head.
     outputsFull = 0;
@@ -254,7 +224,6 @@ Crossbar::restoreState(common::ArenaReader &r)
     RCOAL_ASSERT(idle(), "crossbar restore with packets in flight");
     r.pod(rrPointer);
     r.pod(transferred);
-    sleepUntil = 0;      // Derived memo; never part of a snapshot.
     outputsNonEmpty = 0; // Idle: every output queue is empty.
     headsNonEmpty = 0;   // Idle: no input has a head.
     outputsFull = 0;

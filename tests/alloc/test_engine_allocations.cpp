@@ -3,14 +3,16 @@
  * Heap-allocation audit of the engine's steady-state tick.
  *
  * Runs the EngineGolden flat GDDR5 serve cell (three concurrent BASE
- * AES batches on three five-SM gangs of the Table I machine, cycle
- * skipping on) and relaunches each batch the cycle it retires, so the
- * machine stays saturated. After a warm-up in which every queue reaches
- * its high-water mark, tick() and skipTo() must not touch the heap:
- * each in-flight access moves as a slab slot through fixed or
- * grow-only rings. Launch and take() run outside the counted window.
- * Cache-enabled machines are out of scope (MshrTable::complete returns
- * a vector).
+ * AES batches on three five-SM gangs of the Table I machine) and
+ * relaunches each batch the cycle it retires, so the machine stays
+ * saturated. After a warm-up in which every queue reaches its
+ * high-water mark, tick() and skipTo() must not touch the heap: each
+ * in-flight access moves as a slab slot through fixed or grow-only
+ * rings. The window runs once with cycle skipping forced on and once
+ * forced off (the all-awake stepping reference), whatever
+ * RCOAL_CYCLE_SKIPPING says. Launch and take() run outside the counted
+ * window. Cache-enabled machines are out of scope (MshrTable::complete
+ * returns a vector).
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +40,9 @@ const std::array<std::uint8_t, 16> kKey = {
 constexpr unsigned kGangSms = 5;
 constexpr std::array<unsigned, 3> kBatchLines = {480, 352, 640};
 
-TEST(GpuMachineAllocations, FlatServeCellTickIsAllocationFree)
+/** Allocations in the counted window of a machine built under @p skipping. */
+std::size_t
+countedWindowAllocations(bool skipping)
 {
     GpuConfig cfg = GpuConfig::paperBaseline();
     cfg.policy = core::CoalescingPolicy::baseline();
@@ -57,8 +61,10 @@ TEST(GpuMachineAllocations, FlatServeCellTickIsAllocationFree)
             cfg.warpSize));
     }
 
+    setCycleSkippingOverride(skipping ? 1 : 0);
     GpuMachine machine(cfg);
-    ASSERT_TRUE(machine.cycleSkippingEnabled());
+    setCycleSkippingOverride(-1);
+    EXPECT_EQ(machine.cycleSkippingEnabled(), skipping);
     std::uint64_t stream = 0;
     std::array<GpuMachine::LaunchId, 3> running{};
     for (unsigned g = 0; g < 3; ++g) {
@@ -104,7 +110,13 @@ TEST(GpuMachineAllocations, FlatServeCellTickIsAllocationFree)
     const std::size_t retired_before = retired;
     while (steps < 20'000 || retired < retired_before + 3)
         step();
-    EXPECT_EQ(counted, 0u) << "over " << steps << " tick()/skipTo() calls";
+    return counted;
+}
+
+TEST(GpuMachineAllocations, FlatServeCellTickIsAllocationFree)
+{
+    EXPECT_EQ(countedWindowAllocations(true), 0u) << "cycle skipping on";
+    EXPECT_EQ(countedWindowAllocations(false), 0u) << "cycle skipping off";
 }
 
 } // namespace

@@ -5,8 +5,9 @@
  * — every KernelStats field, every trace-event stream, every attack
  * observation, for every coalescing policy and for multi-kernel serve
  * runs. These tests are the enforcement arm of the cycleSkipping
- * contract; CI additionally runs the whole suite once with
- * RCOAL_CYCLE_SKIPPING=0 so the legacy loop stays honest.
+ * contract. Stepping ticks every component every cycle, so it is the
+ * all-awake reference for the machine's wake calendar; CI additionally
+ * runs the whole suite once with RCOAL_CYCLE_SKIPPING=0.
  */
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "rcoal/sim/gpu_machine.hpp"
 #include "rcoal/trace/tracer.hpp"
 #include "rcoal/workloads/aes_kernel.hpp"
+#include "rcoal/workloads/micro_kernels.hpp"
 
 namespace rcoal::sim {
 namespace {
@@ -467,6 +469,183 @@ TEST(CycleSkipping, SchedulerCompletionInvariantAcrossPollIntervals)
             EXPECT_EQ(run_with_poll(interval, skipping), reference)
                 << "interval " << interval << " skipping " << skipping;
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Seeded random configurations: the calendar must be exact for every
+// mix of SM count, partitions, queue depths, backend, refresh, caches,
+// MSHRs, scheduler, policy, latency and clock ratio, not only for the
+// hand-picked fixtures above.
+
+/** One random valid machine configuration drawn from @p rng. */
+GpuConfig
+randomConfig(Rng &rng)
+{
+    const auto pick = [&rng](auto... options) {
+        const std::array values{options...};
+        return values[rng.below(values.size())];
+    };
+    GpuConfig cfg = GpuConfig::paperBaseline();
+    cfg.numSms = 3 + static_cast<unsigned>(rng.below(6));
+    cfg.numPartitions = 1 + static_cast<unsigned>(rng.below(6));
+    cfg.icnQueueDepth = 2 + rng.below(7);
+    cfg.icnLatency = pick(0u, 1u, 8u);
+    cfg.dramQueueDepth = pick(std::size_t{4}, std::size_t{8},
+                              std::size_t{32});
+    cfg.memClockMhz = pick(924.0, 1750.0);
+    cfg.dramBackend = pick(DramBackendKind::Gddr5, DramBackendKind::Gddr6,
+                           DramBackendKind::Hbm2);
+    cfg.refreshEnabled = rng.chance(0.5);
+    cfg.l1Enabled = rng.chance(0.5);
+    cfg.l2Enabled = rng.chance(0.5);
+    cfg.mshrEnabled = rng.chance(0.5);
+    cfg.prtEntries = pick(std::size_t{32}, std::size_t{64},
+                          std::size_t{256});
+    cfg.scheduler = pick(SchedulerPolicy::LooseRoundRobin,
+                         SchedulerPolicy::GreedyThenOldest);
+    cfg.policy = allPolicies()[rng.below(allPolicies().size())];
+    cfg.seed = rng.next64();
+    cfg.validate();
+    return cfg;
+}
+
+/** Everything a random cell's run must reproduce across skip modes. */
+struct RandomCellRun
+{
+    GpuConfig config;
+    std::vector<KernelStats> launches;
+    std::vector<Cycle> finishCycles;
+    std::vector<KernelStats> samples; ///< cumulativeStats() every 97.
+    KernelStats memory;
+    Cycle endCycle = 0;
+};
+
+/**
+ * Cell @p seed: 2-3 micro or AES launches on disjoint gangs of a random
+ * machine, each starting at its own random cycle, sampled every 97
+ * cycles. With skipping on, the loop skips to the next machine event,
+ * launch or sample, the way the serve frontend does.
+ */
+RandomCellRun
+runRandomCell(std::uint64_t seed, bool skipping)
+{
+    Rng rng = Rng::stream(0x5eed'ca1e, seed);
+    RandomCellRun run;
+    run.config = randomConfig(rng);
+    run.config.cycleSkipping = skipping;
+    const GpuConfig &cfg = run.config;
+
+    const unsigned gangs = 2 + static_cast<unsigned>(rng.below(2));
+    const unsigned gang_sms = cfg.numSms / gangs;
+    std::vector<std::unique_ptr<KernelSource>> kernels;
+    std::vector<Cycle> starts;
+    for (unsigned g = 0; g < gangs; ++g) {
+        const unsigned warps =
+            gang_sms * (2 + static_cast<unsigned>(rng.below(7)));
+        const unsigned loads = 4 + static_cast<unsigned>(rng.below(13));
+        switch (rng.below(4)) {
+          case 0: {
+            Rng text_rng = Rng::stream(seed, g);
+            kernels.push_back(std::make_unique<workloads::AesGpuKernel>(
+                workloads::randomPlaintext(warps * cfg.warpSize, text_rng),
+                kKey, cfg.warpSize));
+            break;
+          }
+          case 1:
+            kernels.push_back(workloads::makeRandomKernel(
+                warps, loads, cfg.warpSize, 1 << 14, rng));
+            break;
+          case 2:
+            kernels.push_back(workloads::makeStridedKernel(
+                warps, loads, cfg.warpSize, 256));
+            break;
+          default:
+            kernels.push_back(
+                workloads::makeDivergentKernel(warps, cfg.warpSize, rng));
+            break;
+        }
+        starts.push_back(rng.below(3000));
+    }
+
+    // Forced, so the oracle compares both modes under any
+    // RCOAL_CYCLE_SKIPPING.
+    setCycleSkippingOverride(skipping ? 1 : 0);
+    GpuMachine machine(cfg);
+    setCycleSkippingOverride(-1);
+    EXPECT_EQ(machine.cycleSkippingEnabled(), skipping);
+    std::vector<GpuMachine::LaunchId> ids(gangs, 0);
+    constexpr Cycle kSampleEvery = 97;
+    Cycle next_sample = kSampleEvery;
+    const auto all_done = [&] {
+        return std::all_of(ids.begin(), ids.end(), [&](auto id) {
+            return id != 0 && machine.done(id);
+        });
+    };
+    for (;;) {
+        Cycle launch_bound = kInvalidCycle; // Tick of the next launch.
+        for (unsigned g = 0; g < gangs; ++g) {
+            if (ids[g] == 0 && starts[g] <= machine.now()) {
+                ids[g] = machine.launchStream(
+                    *kernels[g], SmRange{g * gang_sms, gang_sms}, g + 1);
+            } else if (ids[g] == 0) {
+                launch_bound = std::min(launch_bound, starts[g] + 1);
+            }
+        }
+        machine.tick();
+        if (machine.now() == next_sample) {
+            run.samples.push_back(machine.cumulativeStats());
+            next_sample += kSampleEvery;
+        }
+        if (all_done())
+            break;
+        if (!skipping)
+            continue;
+        const Cycle target =
+            std::min({machine.nextEventCycle(), launch_bound, next_sample,
+                      machine.now() + 1'000'000});
+        if (target > machine.now() + 1)
+            machine.skipTo(target);
+    }
+    for (const auto id : ids) {
+        run.finishCycles.push_back(machine.finishCycle(id));
+        run.launches.push_back(machine.take(id));
+    }
+    run.memory = machine.memoryStats();
+    run.endCycle = machine.now();
+    return run;
+}
+
+TEST(CycleSkipping, RandomConfigsStepIdentically)
+{
+    constexpr std::uint64_t kCells = 48;
+    for (std::uint64_t seed = 1; seed <= kCells; ++seed) {
+        const RandomCellRun stepped = runRandomCell(seed, false);
+        const RandomCellRun skipped = runRandomCell(seed, true);
+        const GpuConfig &cfg = stepped.config;
+        const std::string cell =
+            "seed " + std::to_string(seed) + " (" +
+            std::to_string(cfg.numSms) + " SMs, " +
+            std::to_string(cfg.numPartitions) + " partitions, " +
+            cfg.policy.name() + ")";
+        ASSERT_EQ(stepped.launches.size(), skipped.launches.size()) << cell;
+        for (std::size_t l = 0; l < stepped.launches.size(); ++l) {
+            const std::string label = cell + " launch " + std::to_string(l);
+            expectIdenticalStats(stepped.launches[l], skipped.launches[l],
+                                 label);
+            EXPECT_EQ(stepped.finishCycles[l], skipped.finishCycles[l])
+                << label;
+        }
+        expectIdenticalStats(stepped.memory, skipped.memory,
+                             cell + " memory");
+        ASSERT_EQ(stepped.samples.size(), skipped.samples.size()) << cell;
+        for (std::size_t i = 0; i < stepped.samples.size(); ++i) {
+            expectIdenticalStats(stepped.samples[i], skipped.samples[i],
+                                 cell + " sample " + std::to_string(i));
+        }
+        EXPECT_EQ(stepped.endCycle, skipped.endCycle) << cell;
+        if (HasFailure())
+            return; // The first failing seed is the one to replay.
     }
 }
 
