@@ -445,5 +445,79 @@ TEST(SnapshotFork, ForkCheckerVerdictsMatchReplay)
     EXPECT_GT(commands, 0u);
 }
 
+/** A warmed machine's snapshot, with a collector of @p span_cfg. */
+MachineSnapshot
+spanSnapshot(const spans::SpanCollector::Config &span_cfg)
+{
+    GpuMachine machine(baseConfig());
+    spans::SpanCollector collector(span_cfg);
+    machine.setSpanCollector(&collector);
+    collector.openRequest();
+    runTestWarmups(machine, /*plaintext_root=*/53, kWarmup);
+    return machine.snapshot();
+}
+
+TEST(SnapshotForkDeathTest, RestoreIntoDifferentStructurePanics)
+{
+    GpuMachine warm(baseConfig());
+    runTestWarmups(warm, /*plaintext_root=*/59, kWarmup);
+    const MachineSnapshot snap = warm.snapshot();
+    GpuConfig other = baseConfig();
+    other.numSms = 5;
+    EXPECT_DEATH(
+        {
+            GpuMachine target(other);
+            target.restore(snap);
+        },
+        "structurally different");
+}
+
+TEST(SnapshotForkDeathTest, RestoreWithTelemetryAttachedPanics)
+{
+    GpuMachine warm(baseConfig());
+    const MachineSnapshot snap = warm.snapshot();
+    EXPECT_DEATH(
+        {
+            GpuMachine target(baseConfig());
+            telemetry::MetricRegistry registry;
+            telemetry::TelemetrySampler sampler(registry, 256);
+            target.setTelemetry(&sampler);
+            target.restore(snap);
+        },
+        "before attaching telemetry");
+}
+
+TEST(SnapshotForkDeathTest, SpanSampleRateMismatchPanics)
+{
+    const MachineSnapshot snap = spanSnapshot({});
+    spans::SpanCollector::Config other;
+    other.sampleRate = 2;
+    EXPECT_DEATH(
+        {
+            GpuMachine target(baseConfig());
+            spans::SpanCollector collector(other);
+            target.setSpanCollector(&collector);
+            target.restore(snap);
+        },
+        "sample rate");
+}
+
+TEST(SnapshotForkDeathTest, SpanSlabCapacityMismatchPanics)
+{
+    spans::SpanCollector::Config small;
+    small.slabCapacity = 8;
+    const MachineSnapshot snap = spanSnapshot(small);
+    spans::SpanCollector::Config other;
+    other.slabCapacity = 16;
+    EXPECT_DEATH(
+        {
+            GpuMachine target(baseConfig());
+            spans::SpanCollector collector(other);
+            target.setSpanCollector(&collector);
+            target.restore(snap);
+        },
+        "capacity");
+}
+
 } // namespace
 } // namespace rcoal::sim
