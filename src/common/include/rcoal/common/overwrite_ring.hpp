@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "rcoal/common/logging.hpp"
-#include "rcoal/common/state_arena.hpp"
 
 namespace rcoal::common {
 
@@ -87,30 +86,20 @@ class OverwriteRing
         std::fill(ring.begin(), ring.end(), T{});
     }
 
-    void saveState(ArenaWriter &w) const
+    /** Snapshot walk; a restore needs the same capacity. */
+    template <typename Arena>
+    void transferState(Arena &a)
     {
-        w.pod(static_cast<std::uint64_t>(ring.size()));
-        w.pod(static_cast<std::uint64_t>(next));
-        w.pod(appended);
-        w.pod(overwritten);
-        w.podVector(ring);
-    }
-
-    void restoreState(ArenaReader &r)
-    {
-        const auto cap = r.take<std::uint64_t>();
-        RCOAL_ASSERT(cap == ring.size(),
-                     "ring restore: capacity mismatch (%llu vs %zu)",
-                     static_cast<unsigned long long>(cap), ring.size());
-        next = static_cast<std::size_t>(r.take<std::uint64_t>());
-        appended = r.take<std::uint64_t>();
-        overwritten = r.take<std::uint64_t>();
-        r.podVector(ring);
+        a.expect(static_cast<std::uint64_t>(ring.size()), "ring capacity");
+        a.pod(next);
+        a.pod(appended);
+        a.pod(overwritten);
+        a.podVector(ring);
     }
 
   private:
     std::vector<T> ring;
-    std::size_t next = 0;          ///< Ring index of the next write.
+    std::uint64_t next = 0;        ///< Ring index of the next write.
     std::uint64_t appended = 0;    ///< Lifetime append count.
     std::uint64_t overwritten = 0; ///< Lifetime overwrite-drop count.
 };

@@ -17,8 +17,16 @@
  * with payloads written field-by-field (never whole structs with
  * padding, so arena bytes are deterministic). ArenaWriter appends and
  * back-patches region sizes; ArenaReader consumes with tag and size
- * checking, so any drift between save and restore order panics instead
- * of silently misreading.
+ * checking.
+ *
+ * Writer and reader share one set of verbs, so each component states
+ * its format once, as a member template walked by both:
+ *
+ *   template <typename Arena> void transferState(Arena &a);
+ *
+ * The writer copies each field into the arena, the reader copies it
+ * back, and steps only a restore needs sit under
+ * `if constexpr (Arena::kLoading)`.
  */
 
 #ifndef RCOAL_COMMON_STATE_ARENA_HPP
@@ -27,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -63,6 +72,8 @@ class StateArena
 class ArenaWriter
 {
   public:
+    static constexpr bool kLoading = false;
+
     explicit ArenaWriter(StateArena &arena);
 
     /** Open a region with @p tag; close it with endRegion(). */
@@ -93,8 +104,28 @@ class ArenaWriter
             append(v.data(), v.size() * sizeof(T));
     }
 
+    /** Append a map of PODs as [u64 count][key value]... in key order. */
+    template <typename K, typename V>
+    void
+    podMap(const std::map<K, V> &m)
+    {
+        pod(static_cast<std::uint64_t>(m.size()));
+        for (const auto &[key, value] : m) {
+            pod(key);
+            pod(value);
+        }
+    }
+
     /** Append a string as [u64 length][bytes]. */
     void string(const std::string &s);
+
+    /** Append @p value, which the reader checks instead of loading. */
+    template <typename T>
+    void
+    expect(const T &value, const char * /*what*/)
+    {
+        pod(value);
+    }
 
   private:
     void append(const void *src, std::size_t n);
@@ -105,11 +136,13 @@ class ArenaWriter
 };
 
 /**
- * Sequential reader; mirrors the writer call-for-call.
+ * Sequential reader; the same walk that wrote the arena reads it back.
  */
 class ArenaReader
 {
   public:
+    static constexpr bool kLoading = true;
+
     explicit ArenaReader(const StateArena &arena);
 
     /** Open the next region, asserting its tag is @p tag. */
@@ -149,7 +182,39 @@ class ArenaReader
             consume(out.data(), out.size() * sizeof(T));
     }
 
+    /** Replace @p out with a map written by ArenaWriter::podMap(). */
+    template <typename K, typename V>
+    void
+    podMap(std::map<K, V> &out)
+    {
+        const auto count = take<std::uint64_t>();
+        out.clear();
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const auto key = take<K>();
+            out.emplace_hint(out.end(), key, take<V>());
+        }
+    }
+
     void string(std::string &out);
+
+    /**
+     * Read a value the writer stored with expect() and assert it equals
+     * @p value: a structural fact (a count, a presence flag) both
+     * machines must agree on, named by @p what in the panic.
+     */
+    template <typename T>
+    void
+    expect(const T &value, const char *what)
+    {
+        static_assert(std::is_integral_v<T>,
+                      "arena expect() compares integral values");
+        const T stored = take<T>();
+        RCOAL_ASSERT(stored == value,
+                     "snapshot %s mismatch: arena holds %llu, this "
+                     "machine has %llu",
+                     what, static_cast<unsigned long long>(stored),
+                     static_cast<unsigned long long>(value));
+    }
 
     /** True when every byte of the arena has been consumed. */
     bool atEnd() const;

@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "rcoal/common/state_arena.hpp"
 #include "rcoal/common/types.hpp"
 #include "rcoal/sim/memory_access.hpp"
 
@@ -60,11 +59,9 @@ class MshrTable
      */
     void reset();
 
-    /** Serialize at quiescence (no outstanding entries). */
-    void saveState(common::ArenaWriter &w) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(common::ArenaReader &r);
+    /** Snapshot walk, at quiescence (no outstanding entries). */
+    template <typename Arena>
+    void transferState(Arena &a);
 
   private:
     std::size_t capacity;

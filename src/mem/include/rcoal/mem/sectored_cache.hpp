@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "rcoal/common/state_arena.hpp"
 #include "rcoal/common/types.hpp"
 #include "rcoal/sim/config.hpp"
 
@@ -82,11 +81,9 @@ class SectoredCache
      */
     void resetAll();
 
-    /** Serialize lines, ages, reservations, and counters. */
-    void saveState(common::ArenaWriter &w) const;
-
-    /** Restore state saved by saveState(); geometry must match. */
-    void restoreState(common::ArenaReader &r);
+    /** Snapshot walk: lines, ages, reservations, counters. */
+    template <typename Arena>
+    void transferState(Arena &a);
 
     unsigned hitLatency() const { return geom.hitLatency; }
 

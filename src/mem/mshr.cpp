@@ -6,6 +6,7 @@
 #include "rcoal/mem/mshr.hpp"
 
 #include "rcoal/common/logging.hpp"
+#include "rcoal/common/state_arena.hpp"
 
 namespace rcoal::mem {
 
@@ -64,20 +65,17 @@ MshrTable::reset()
     mergeCount = 0;
 }
 
+template <typename Arena>
 void
-MshrTable::saveState(common::ArenaWriter &w) const
+MshrTable::transferState(Arena &a)
 {
     RCOAL_ASSERT(table.empty(),
-                 "MSHR snapshot with %zu entries in flight", table.size());
-    w.pod(mergeCount);
+                 "MSHR snapshot or restore with %zu entries in flight",
+                 table.size());
+    a.pod(mergeCount);
 }
 
-void
-MshrTable::restoreState(common::ArenaReader &r)
-{
-    RCOAL_ASSERT(table.empty(),
-                 "MSHR restore with %zu entries in flight", table.size());
-    r.pod(mergeCount);
-}
+template void MshrTable::transferState(common::ArenaWriter &);
+template void MshrTable::transferState(common::ArenaReader &);
 
 } // namespace rcoal::mem

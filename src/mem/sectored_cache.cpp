@@ -6,6 +6,7 @@
 #include "rcoal/mem/sectored_cache.hpp"
 
 #include "rcoal/common/logging.hpp"
+#include "rcoal/common/state_arena.hpp"
 
 namespace rcoal::mem {
 
@@ -167,45 +168,27 @@ SectoredCache::resetAll()
     evictionCount = 0;
 }
 
+template <typename Arena>
 void
-SectoredCache::saveState(common::ArenaWriter &w) const
+SectoredCache::transferState(Arena &a)
 {
-    w.pod(static_cast<std::uint64_t>(lines.size()));
-    for (const Line &line : lines) {
-        w.pod(line.tag);
-        w.pod(line.sectorMask);
-        w.pod(line.age);
+    a.expect(static_cast<std::uint64_t>(lines.size()), "cache line count");
+    for (Line &line : lines) {
+        a.pod(line.tag);
+        a.pod(line.sectorMask);
+        a.pod(line.age);
     }
-    w.podVector(setAge);
-    w.pod(outstandingFills);
-    w.pod(hitCount);
-    w.pod(missCount);
-    w.pod(sectorMissCount);
-    w.pod(fillCount);
-    w.pod(evictionCount);
+    a.podVector(setAge);
+    RCOAL_ASSERT(setAge.size() == numSets, "set-age size mismatch");
+    a.pod(outstandingFills);
+    a.pod(hitCount);
+    a.pod(missCount);
+    a.pod(sectorMissCount);
+    a.pod(fillCount);
+    a.pod(evictionCount);
 }
 
-void
-SectoredCache::restoreState(common::ArenaReader &r)
-{
-    const auto count = r.take<std::uint64_t>();
-    RCOAL_ASSERT(count == lines.size(),
-                 "cache geometry mismatch: snapshot has %llu lines, "
-                 "cache has %zu",
-                 static_cast<unsigned long long>(count), lines.size());
-    for (Line &line : lines) {
-        r.pod(line.tag);
-        r.pod(line.sectorMask);
-        r.pod(line.age);
-    }
-    r.podVector(setAge);
-    RCOAL_ASSERT(setAge.size() == numSets, "set-age size mismatch");
-    r.pod(outstandingFills);
-    r.pod(hitCount);
-    r.pod(missCount);
-    r.pod(sectorMissCount);
-    r.pod(fillCount);
-    r.pod(evictionCount);
-}
+template void SectoredCache::transferState(common::ArenaWriter &);
+template void SectoredCache::transferState(common::ArenaReader &);
 
 } // namespace rcoal::mem

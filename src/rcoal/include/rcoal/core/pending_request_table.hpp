@@ -18,7 +18,6 @@
 #include <optional>
 #include <vector>
 
-#include "rcoal/common/state_arena.hpp"
 #include "rcoal/common/types.hpp"
 
 namespace rcoal::core {
@@ -101,12 +100,6 @@ class PendingRequestTable
      * order is behavior-preserving).
      */
     void reset();
-
-    /** Serialize the full table state (field-wise, padding-free). */
-    void saveState(common::ArenaWriter &w) const;
-
-    /** Restore state saved by saveState(); capacity must match. */
-    void restoreState(common::ArenaReader &r);
 
   private:
     /** Unlink @p index from its sid's intrusive list. */

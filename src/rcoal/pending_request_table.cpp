@@ -113,49 +113,6 @@ PendingRequestTable::reset()
     sidPrev.assign(table.size(), kNone);
 }
 
-void
-PendingRequestTable::saveState(common::ArenaWriter &w) const
-{
-    w.pod(static_cast<std::uint64_t>(table.size()));
-    for (const PrtEntry &e : table) {
-        w.pod(static_cast<std::uint8_t>(e.valid));
-        w.pod(e.tid);
-        w.pod(e.baseAddr);
-        w.pod(e.offset);
-        w.pod(e.size);
-        w.pod(e.sid);
-        w.pod(static_cast<std::uint8_t>(e.pending));
-    }
-    w.podVector(freeList);
-    w.pod(static_cast<std::uint64_t>(used));
-    w.podVector(sidHead);
-    w.podVector(sidNext);
-    w.podVector(sidPrev);
-}
-
-void
-PendingRequestTable::restoreState(common::ArenaReader &r)
-{
-    const auto entries = r.take<std::uint64_t>();
-    RCOAL_ASSERT(entries == table.size(),
-                 "PRT capacity mismatch: snapshot has %llu, table has %zu",
-                 static_cast<unsigned long long>(entries), table.size());
-    for (PrtEntry &e : table) {
-        e.valid = r.take<std::uint8_t>() != 0;
-        r.pod(e.tid);
-        r.pod(e.baseAddr);
-        r.pod(e.offset);
-        r.pod(e.size);
-        r.pod(e.sid);
-        e.pending = r.take<std::uint8_t>() != 0;
-    }
-    r.podVector(freeList);
-    used = static_cast<std::size_t>(r.take<std::uint64_t>());
-    r.podVector(sidHead);
-    r.podVector(sidNext);
-    r.podVector(sidPrev);
-}
-
 std::size_t
 PendingRequestTable::sidFieldBits(unsigned warp_size)
 {

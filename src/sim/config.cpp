@@ -103,6 +103,12 @@ GpuConfig::validate() const
     if (banksPerPartition > 64) {
         fatal("at most 64 banks per partition supported");
     }
+    if (maxWarpsPerSm > 64 * issueWidth) {
+        fatal("maxWarpsPerSm (%u) exceeds 64 warps per scheduler (%u "
+              "schedulers): each scheduler's issuable set is one 64-bit "
+              "mask",
+              maxWarpsPerSm, issueWidth);
+    }
     if (coreClockMhz <= 0.0 || memClockMhz <= 0.0)
         fatal("clock frequencies must be positive");
     if (prtEntries < warpSize)

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "rcoal/common/logging.hpp"
+#include "rcoal/common/state_arena.hpp"
 #include "rcoal/trace/dram_checker.hpp"
 #include "rcoal/trace/sink.hpp"
 
@@ -443,67 +444,49 @@ DramPartition::reset()
     nextActivateGroup.assign(bt.bankGroups, 0);
     nextColumnAnyPc.assign(bt.pseudoChannels, 0);
     nextRefreshAt = bt.base.tREFI;
-    earliestCompletion = kInvalidCycle;
+    settleIdle();
 }
 
 void
-DramPartition::saveState(common::ArenaWriter &w) const
+DramPartition::settleIdle()
 {
-    RCOAL_ASSERT(idle(), "DRAM snapshot with requests in flight");
-    w.pod(static_cast<std::uint64_t>(banks.size()));
-    for (const Bank &bank : banks) {
-        w.pod(bank.openRow);
-        w.pod(bank.nextRead);
-        w.pod(bank.nextActivate);
-        w.pod(bank.prechargeAllowed);
-    }
-    for (const BankCounters &c : bankStats) {
-        w.pod(c.rowHits);
-        w.pod(c.rowMisses);
-        w.pod(c.activates);
-        w.pod(c.precharges);
-    }
-    w.pod(refreshCount);
-    w.podVector(busFreeAt);
-    w.pod(nextActivateAny);
-    w.podVector(nextColumnGroup);
-    w.podVector(nextActivateGroup);
-    w.podVector(nextColumnAnyPc);
-    w.pod(nextRefreshAt);
-}
-
-void
-DramPartition::restoreState(common::ArenaReader &r)
-{
-    RCOAL_ASSERT(idle(), "DRAM restore with requests in flight");
-    const auto count = r.take<std::uint64_t>();
-    RCOAL_ASSERT(count == banks.size(),
-                 "DRAM bank-count mismatch: snapshot has %llu, "
-                 "partition has %zu",
-                 static_cast<unsigned long long>(count), banks.size());
-    for (Bank &bank : banks) {
-        r.pod(bank.openRow);
-        r.pod(bank.nextRead);
-        r.pod(bank.nextActivate);
-        r.pod(bank.prechargeAllowed);
-    }
-    for (BankCounters &c : bankStats) {
-        r.pod(c.rowHits);
-        r.pod(c.rowMisses);
-        r.pod(c.activates);
-        r.pod(c.precharges);
-    }
-    r.pod(refreshCount);
-    r.podVector(busFreeAt);
-    r.pod(nextActivateAny);
-    r.podVector(nextColumnGroup);
-    r.podVector(nextActivateGroup);
-    r.podVector(nextColumnAnyPc);
-    r.pod(nextRefreshAt);
-    earliestCompletion = kInvalidCycle; // Idle: nothing serviced.
     RCOAL_ASSERT(busFreeAt.size() == bt.pseudoChannels &&
                      nextColumnGroup.size() == bt.bankGroups,
-                 "DRAM backend structure mismatch on restore");
+                 "DRAM backend structure mismatch");
+    earliestCompletion = kInvalidCycle; // Idle: nothing serviced.
 }
+
+template <typename Arena>
+void
+DramPartition::transferState(Arena &a)
+{
+    RCOAL_ASSERT(idle(), "DRAM snapshot or restore with requests in "
+                         "flight");
+    a.expect(static_cast<std::uint64_t>(banks.size()), "DRAM bank count");
+    for (Bank &bank : banks) {
+        a.pod(bank.openRow);
+        a.pod(bank.nextRead);
+        a.pod(bank.nextActivate);
+        a.pod(bank.prechargeAllowed);
+    }
+    for (BankCounters &c : bankStats) {
+        a.pod(c.rowHits);
+        a.pod(c.rowMisses);
+        a.pod(c.activates);
+        a.pod(c.precharges);
+    }
+    a.pod(refreshCount);
+    a.podVector(busFreeAt);
+    a.pod(nextActivateAny);
+    a.podVector(nextColumnGroup);
+    a.podVector(nextActivateGroup);
+    a.podVector(nextColumnAnyPc);
+    a.pod(nextRefreshAt);
+    if constexpr (Arena::kLoading)
+        settleIdle();
+}
+
+template void DramPartition::transferState(common::ArenaWriter &);
+template void DramPartition::transferState(common::ArenaReader &);
 
 } // namespace rcoal::sim

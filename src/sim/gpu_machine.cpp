@@ -27,8 +27,8 @@ validated(GpuConfig config)
     return config;
 }
 
-// Snapshot arena region tags. The reader checks each against the
-// writer's order, so a save/restore drift panics instead of misreading.
+// Snapshot arena region tags. The reader checks each in order, so an
+// arena from a different layout panics instead of misreading.
 constexpr std::uint32_t kTagMachine = 0x6d636831; // 'mch1'
 constexpr std::uint32_t kTagSm = 0x736d3033;      // 'sm03'
 constexpr std::uint32_t kTagXbar = 0x78626172;    // 'xbar'
@@ -196,6 +196,84 @@ GpuMachine::quiescent() const
     return true;
 }
 
+template <typename Arena>
+void
+GpuMachine::transferRegions(Arena &a)
+{
+    a.beginRegion(kTagMachine);
+    a.pod(memStats);
+    a.pod(retiredTotals);
+    a.pod(retiredLaunches);
+    a.pod(launchCounter);
+    a.pod(accessIds);
+    a.pod(nowCycle);
+    a.pod(memCycle);
+    a.pod(memAccum);
+    a.pod(skippedTotal);
+    a.endRegion();
+
+    for (auto &sm : sms) {
+        a.beginRegion(kTagSm);
+        sm->transferState(a);
+        a.endRegion();
+    }
+
+    a.beginRegion(kTagXbar);
+    reqXbar.transferState(a);
+    respXbar.transferState(a);
+    a.endRegion();
+
+    for (auto &dram : drams) {
+        a.beginRegion(kTagDram);
+        dram->transferState(a);
+        a.endRegion();
+    }
+
+    a.beginRegion(kTagL2);
+    for (auto &front : l2) {
+        front.cache->transferState(a);
+        a.expect(static_cast<std::uint8_t>(front.mshr != nullptr),
+                 "L2 MSHR presence");
+        if (front.mshr)
+            front.mshr->transferState(a);
+    }
+    a.endRegion();
+
+    a.beginRegion(kTagChecker);
+    std::uint8_t checking = !checkers.empty();
+    a.pod(checking);
+    if (checking != 0) {
+        auto mode = static_cast<std::uint8_t>(checkerMode);
+        a.pod(mode);
+        if constexpr (Arena::kLoading) {
+            const auto wanted =
+                static_cast<trace::DramProtocolChecker::Mode>(mode);
+            if (checkers.empty() || wanted != checkerMode)
+                enableDramChecking(wanted);
+        }
+        for (auto &checker : checkers)
+            checker->transferState(a);
+    } else if constexpr (Arena::kLoading) {
+        for (auto &dram : drams)
+            dram->setChecker(nullptr);
+        checkers.clear();
+    }
+    a.endRegion();
+
+    a.beginRegion(kTagSpans);
+    std::uint8_t had_spans = spanCollector != nullptr;
+    a.pod(had_spans);
+    if (had_spans != 0) {
+        RCOAL_ASSERT(spanCollector != nullptr,
+                     "snapshot carries span state but no collector "
+                     "is attached");
+        spanCollector->transferState(a);
+    } else if (spanCollector != nullptr) {
+        spanCollector->clear(); // Restoring a span-less snapshot.
+    }
+    a.endRegion();
+}
+
 MachineSnapshot
 GpuMachine::snapshot()
 {
@@ -211,59 +289,7 @@ GpuMachine::snapshot()
                   "KernelStats must stay memcpy-serializable");
     auto arena = std::make_shared<common::StateArena>();
     common::ArenaWriter w(*arena);
-
-    w.beginRegion(kTagMachine);
-    w.pod(memStats);
-    w.pod(retiredTotals);
-    w.pod(retiredLaunches);
-    w.pod(launchCounter);
-    w.pod(accessIds);
-    w.pod(nowCycle);
-    w.pod(memCycle);
-    w.pod(memAccum);
-    w.pod(skippedTotal);
-    w.endRegion();
-
-    for (const auto &sm : sms) {
-        w.beginRegion(kTagSm);
-        sm->saveState(w);
-        w.endRegion();
-    }
-
-    w.beginRegion(kTagXbar);
-    reqXbar.saveState(w);
-    respXbar.saveState(w);
-    w.endRegion();
-
-    for (const auto &dram : drams) {
-        w.beginRegion(kTagDram);
-        dram->saveState(w);
-        w.endRegion();
-    }
-
-    w.beginRegion(kTagL2);
-    for (const auto &front : l2) {
-        front.cache->saveState(w);
-        w.pod(static_cast<std::uint8_t>(front.mshr != nullptr));
-        if (front.mshr)
-            front.mshr->saveState(w);
-    }
-    w.endRegion();
-
-    w.beginRegion(kTagChecker);
-    w.pod(static_cast<std::uint8_t>(!checkers.empty()));
-    if (!checkers.empty()) {
-        w.pod(static_cast<std::uint8_t>(checkerMode));
-        for (const auto &checker : checkers)
-            checker->saveState(w);
-    }
-    w.endRegion();
-
-    w.beginRegion(kTagSpans);
-    w.pod(static_cast<std::uint8_t>(spanCollector != nullptr));
-    if (spanCollector != nullptr)
-        spanCollector->saveState(w);
-    w.endRegion();
+    transferRegions(w);
 
     MachineSnapshot snap;
     snap.config = cfg;
@@ -295,75 +321,7 @@ GpuMachine::restore(const MachineSnapshot &snap)
     cfg.seed = snap.config.seed;
 
     common::ArenaReader r(*snap.arena);
-
-    r.beginRegion(kTagMachine);
-    r.pod(memStats);
-    r.pod(retiredTotals);
-    r.pod(retiredLaunches);
-    r.pod(launchCounter);
-    r.pod(accessIds);
-    r.pod(nowCycle);
-    r.pod(memCycle);
-    r.pod(memAccum);
-    r.pod(skippedTotal);
-    r.endRegion();
-
-    for (auto &sm : sms) {
-        r.beginRegion(kTagSm);
-        sm->restoreState(r);
-        r.endRegion();
-    }
-
-    r.beginRegion(kTagXbar);
-    reqXbar.restoreState(r);
-    respXbar.restoreState(r);
-    r.endRegion();
-
-    for (auto &dram : drams) {
-        r.beginRegion(kTagDram);
-        dram->restoreState(r);
-        r.endRegion();
-    }
-
-    r.beginRegion(kTagL2);
-    for (auto &front : l2) {
-        front.cache->restoreState(r);
-        const bool had_mshr = r.take<std::uint8_t>() != 0;
-        RCOAL_ASSERT(had_mshr == (front.mshr != nullptr),
-                     "L2 MSHR presence mismatch on restore");
-        if (front.mshr)
-            front.mshr->restoreState(r);
-    }
-    r.endRegion();
-
-    r.beginRegion(kTagChecker);
-    const bool checking = r.take<std::uint8_t>() != 0;
-    if (checking) {
-        const auto mode = static_cast<trace::DramProtocolChecker::Mode>(
-            r.take<std::uint8_t>());
-        if (checkers.empty() || mode != checkerMode)
-            enableDramChecking(mode);
-        for (auto &checker : checkers)
-            checker->restoreState(r);
-    } else if (!checkers.empty()) {
-        for (auto &dram : drams)
-            dram->setChecker(nullptr);
-        checkers.clear();
-    }
-    r.endRegion();
-
-    r.beginRegion(kTagSpans);
-    const bool had_spans = r.take<std::uint8_t>() != 0;
-    if (had_spans) {
-        RCOAL_ASSERT(spanCollector != nullptr,
-                     "snapshot carries span state but no collector "
-                     "is attached");
-        spanCollector->restoreState(r);
-    } else if (spanCollector != nullptr) {
-        spanCollector->clear();
-    }
-    r.endRegion();
-
+    transferRegions(r);
     RCOAL_ASSERT(r.atEnd(), "snapshot arena has trailing bytes");
     resetCalendar(); // After the DRAM timing its bounds read.
 }

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "rcoal/common/state_arena.hpp"
 #include "rcoal/mem/dram_backend.hpp"
 #include "rcoal/sim/access_slab.hpp"
 #include "rcoal/sim/address_mapping.hpp"
@@ -155,11 +154,9 @@ class DramPartition
      */
     void reset();
 
-    /** Serialize the full timing state at quiescence (must be idle()). */
-    void saveState(common::ArenaWriter &w) const;
-
-    /** Restore state saved by saveState() (must be idle()). */
-    void restoreState(common::ArenaReader &r);
+    /** Snapshot walk of the full timing state (must be idle()). */
+    template <typename Arena>
+    void transferState(Arena &a);
 
   private:
     /**
@@ -199,6 +196,8 @@ class DramPartition
     void retireBursts(Cycle now);
     bool maybeRefresh(Cycle now);
     bool refreshDue(Cycle now) const;
+    /** Clear an idle partition's derived state (reset and restore). */
+    void settleIdle();
 
     unsigned
     groupOf(unsigned bank) const

@@ -449,6 +449,13 @@ class GpuMachine
     void resetCalendar();
 
     /**
+     * The snapshot arena's regions, in order: written by snapshot(),
+     * read back by restore().
+     */
+    template <typename Arena>
+    void transferRegions(Arena &a);
+
+    /**
      * Re-read sleeping SM @p s's wakeCycle() after an input that can
      * lower it, waking it (settled through now()) when it is now + 1.
      */

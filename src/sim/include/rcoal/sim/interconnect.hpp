@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "rcoal/common/logging.hpp"
-#include "rcoal/common/state_arena.hpp"
 #include "rcoal/sim/access_slab.hpp"
 #include "rcoal/sim/memory_access.hpp"
 
@@ -131,11 +130,9 @@ class Crossbar
     /** Return to the freshly-constructed state (must be idle()). */
     void reset();
 
-    /** Serialize at quiescence (must be idle()). */
-    void saveState(common::ArenaWriter &w) const;
-
-    /** Restore state saved by saveState() (must be idle()). */
-    void restoreState(common::ArenaReader &r);
+    /** Snapshot walk, at quiescence (must be idle()). */
+    template <typename Arena>
+    void transferState(Arena &a);
 
   private:
     struct Packet
@@ -151,6 +148,9 @@ class Crossbar
      * mask that could hold the input's bit).
      */
     void refreshHead(unsigned in, unsigned freed_output, Cycle now);
+
+    /** Set the port masks an idle crossbar has (reset and restore). */
+    void clearIdleMasks();
 
     unsigned numInputs;
     unsigned numOutputs;

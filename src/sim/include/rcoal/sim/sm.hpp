@@ -26,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "rcoal/common/state_arena.hpp"
 #include "rcoal/core/coalescer.hpp"
 #include "rcoal/core/subwarp.hpp"
 #include "rcoal/mem/mshr.hpp"
@@ -97,14 +96,12 @@ class StreamingMultiprocessor
     void hardReset();
 
     /**
-     * Serialize all state that survives launch retirement (warm L1,
-     * MSHR counters, scheduler/scan residue). Only legal between
+     * Snapshot walk of the state that survives launch retirement (warm
+     * L1, MSHR counters, scheduler/scan residue). Only legal between
      * launches (no resident warps, every queue drained).
      */
-    void saveState(common::ArenaWriter &w) const;
-
-    /** Restore state saved by saveState(); configuration must match. */
-    void restoreState(common::ArenaReader &r);
+    template <typename Arena>
+    void transferState(Arena &a);
 
     /** Make a warp resident with its per-launch subwarp partition. */
     void assignWarp(WarpId warp_id,
@@ -231,11 +228,12 @@ class StreamingMultiprocessor
     /** Clear warp @p slot's issuable bit once its trace is exhausted. */
     void retireFromScan(std::size_t slot)
     {
-        if (useMasks) {
-            issuableMask[slot % cfg.issueWidth] &=
-                ~(std::uint64_t{1} << (slot / cfg.issueWidth));
-        }
+        issuableMask[slot % cfg.issueWidth] &=
+            ~(std::uint64_t{1} << (slot / cfg.issueWidth));
     }
+
+    /** Set the scan-gate thresholds of an idle SM (reset and restore). */
+    void clearGateThresholds();
 
     /**
      * Try to issue one instruction from warp @p slot; true on success.
@@ -343,11 +341,10 @@ class StreamingMultiprocessor
      * sched + k * issueWidth still has instructions to issue
      * (pc < trace length). Maintained at assignWarp and at the issue
      * that exhausts a trace; the scan iterates set bits instead of
-     * probing every slot. Usable while each scheduler owns at most 64
-     * slots (useMasks); the scalar walk remains as fallback.
+     * probing every slot. GpuConfig::validate() bounds each scheduler
+     * to 64 slots.
      */
     std::vector<std::uint64_t> issuableMask;
-    bool useMasks;
 
     /** Dense warp-id -> slot map (kNoSlot = not resident on this SM). */
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
@@ -377,7 +374,7 @@ class StreamingMultiprocessor
      * Smallest LD/ST-queue demand among the warps the last scan found
      * blocked on queue space, and smallest PRT demand among those it
      * found blocked on PRT entries (kNoDemand when none). 0 means
-     * "any pop or completion reopens the gate" (reset/restoreState).
+     * "any pop or completion reopens the gate" (reset and restore).
      */
     static constexpr std::uint32_t kNoDemand = ~std::uint32_t{0};
     std::uint32_t minLdstDemand = 0;

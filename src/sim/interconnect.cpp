@@ -11,6 +11,7 @@
 #include <cassert>
 
 #include "rcoal/common/logging.hpp"
+#include "rcoal/common/state_arena.hpp"
 #include "rcoal/trace/sink.hpp"
 
 namespace rcoal::sim {
@@ -198,37 +199,37 @@ Crossbar::idle() const
 }
 
 void
+Crossbar::clearIdleMasks()
+{
+    outputsNonEmpty = 0; // Idle: every output queue is empty.
+    headsNonEmpty = 0;   // Idle: no input has a head.
+    outputsFull = 0;
+    headsReady = 0;
+    headsPending = 0;
+}
+
+void
 Crossbar::reset()
 {
     RCOAL_ASSERT(idle(), "crossbar reset with packets in flight");
     rrPointer = 0;
     transferred = 0;
-    outputsNonEmpty = 0; // Idle: every output queue is empty.
-    headsNonEmpty = 0;   // Idle: no input has a head.
-    outputsFull = 0;
-    headsReady = 0;
-    headsPending = 0;
+    clearIdleMasks();
 }
 
+template <typename Arena>
 void
-Crossbar::saveState(common::ArenaWriter &w) const
+Crossbar::transferState(Arena &a)
 {
-    RCOAL_ASSERT(idle(), "crossbar snapshot with packets in flight");
-    w.pod(rrPointer);
-    w.pod(transferred);
+    RCOAL_ASSERT(idle(), "crossbar snapshot or restore with packets in "
+                         "flight");
+    a.pod(rrPointer);
+    a.pod(transferred);
+    if constexpr (Arena::kLoading)
+        clearIdleMasks();
 }
 
-void
-Crossbar::restoreState(common::ArenaReader &r)
-{
-    RCOAL_ASSERT(idle(), "crossbar restore with packets in flight");
-    r.pod(rrPointer);
-    r.pod(transferred);
-    outputsNonEmpty = 0; // Idle: every output queue is empty.
-    headsNonEmpty = 0;   // Idle: no input has a head.
-    outputsFull = 0;
-    headsReady = 0;
-    headsPending = 0;
-}
+template void Crossbar::transferState(common::ArenaWriter &);
+template void Crossbar::transferState(common::ArenaReader &);
 
 } // namespace rcoal::sim

@@ -9,6 +9,7 @@
 #include <bit>
 
 #include "rcoal/common/logging.hpp"
+#include "rcoal/common/state_arena.hpp"
 #include "rcoal/spans/collector.hpp"
 #include "rcoal/trace/sink.hpp"
 
@@ -29,9 +30,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(
       ldstQueue(4 * config.warpSize),
       ldstQueueCapacity(4 * config.warpSize),
       issuableMask(config.issueWidth, 0),
-      useMasks((config.maxWarpsPerSm + config.issueWidth - 1) /
-                   config.issueWidth <=
-               64),
       rrPointer(config.issueWidth, 0)
 {
     RCOAL_ASSERT(reqXbar && map && nextAccessId,
@@ -91,10 +89,7 @@ StreamingMultiprocessor::reset()
     std::fill(rrPointer.begin(), rrPointer.end(), 0);
     busyUntil = 0;
     scanGate = 0;
-    minLdstDemand = 0;
-    minPrtDemand = 0;
-    // The replayed count must not leak into the next launch's stats.
-    scanPrtStalls = 0;
+    clearGateThresholds();
     tickChanged = false;
     scanIssued = false;
     stats = nullptr;
@@ -117,48 +112,37 @@ StreamingMultiprocessor::hardReset()
 }
 
 void
-StreamingMultiprocessor::saveState(common::ArenaWriter &w) const
+StreamingMultiprocessor::clearGateThresholds()
 {
-    RCOAL_ASSERT(warpsCold.empty() && ldstQueue.empty() &&
-                     localResponses.empty(),
-                 "SM %u snapshot while hosting a launch", id);
-    w.pod(l1LookupId);
-    w.pod(static_cast<std::uint8_t>(l1LookupOutcome));
-    w.pod(busyUntil);
-    w.pod(scanGate);
-    w.pod(static_cast<std::uint8_t>(l1 != nullptr));
-    if (l1)
-        l1->saveState(w);
-    w.pod(static_cast<std::uint8_t>(mshr != nullptr));
-    if (mshr)
-        mshr->saveState(w);
-}
-
-void
-StreamingMultiprocessor::restoreState(common::ArenaReader &r)
-{
-    RCOAL_ASSERT(warpsCold.empty() && ldstQueue.empty() &&
-                     localResponses.empty(),
-                 "SM %u restore while hosting a launch", id);
-    r.pod(l1LookupId);
-    l1LookupOutcome = static_cast<mem::AccessOutcome>(r.take<std::uint8_t>());
-    r.pod(busyUntil);
-    r.pod(scanGate);
-    // Gate thresholds are derived state, not part of the snapshot.
     minLdstDemand = 0;
     minPrtDemand = 0;
+    // The replayed count must not leak into the next launch's stats.
     scanPrtStalls = 0;
-    const bool had_l1 = r.take<std::uint8_t>() != 0;
-    RCOAL_ASSERT(had_l1 == (l1 != nullptr),
-                 "SM %u L1 presence mismatch on restore", id);
-    if (l1)
-        l1->restoreState(r);
-    const bool had_mshr = r.take<std::uint8_t>() != 0;
-    RCOAL_ASSERT(had_mshr == (mshr != nullptr),
-                 "SM %u MSHR presence mismatch on restore", id);
-    if (mshr)
-        mshr->restoreState(r);
 }
+
+template <typename Arena>
+void
+StreamingMultiprocessor::transferState(Arena &a)
+{
+    RCOAL_ASSERT(warpsCold.empty() && ldstQueue.empty() &&
+                     localResponses.empty(),
+                 "SM %u snapshot or restore while hosting a launch", id);
+    a.pod(l1LookupId);
+    a.pod(l1LookupOutcome);
+    a.pod(busyUntil);
+    a.pod(scanGate);
+    if constexpr (Arena::kLoading)
+        clearGateThresholds();
+    a.expect(static_cast<std::uint8_t>(l1 != nullptr), "SM L1 presence");
+    if (l1)
+        l1->transferState(a);
+    a.expect(static_cast<std::uint8_t>(mshr != nullptr), "SM MSHR presence");
+    if (mshr)
+        mshr->transferState(a);
+}
+
+template void StreamingMultiprocessor::transferState(common::ArenaWriter &);
+template void StreamingMultiprocessor::transferState(common::ArenaReader &);
 
 void
 StreamingMultiprocessor::assignWarp(
@@ -196,10 +180,8 @@ StreamingMultiprocessor::assignWarp(
     pendingPrt.push_back(0);
     if (!warp_trace->empty()) {
         ++unfinishedWarps;
-        if (useMasks) {
-            issuableMask[slot % cfg.issueWidth] |=
-                std::uint64_t{1} << (slot / cfg.issueWidth);
-        }
+        issuableMask[slot % cfg.issueWidth] |=
+            std::uint64_t{1} << (slot / cfg.issueWidth);
     }
     scanGate = 0; // New issue candidate: rescan next tick.
 }
@@ -512,30 +494,18 @@ StreamingMultiprocessor::scanWarps(Cycle now)
             const std::size_t greedy = rrPointer[sched] % count;
             if (tryIssue(sched + greedy * cfg.issueWidth, now))
                 continue;
-            if (useMasks) {
-                // Finished warps fail tryIssue without side effects,
-                // so walking only the issuable bits (in the same
-                // ascending order) is exact.
-                std::uint64_t m = issuableMask[sched];
-                while (m != 0) {
-                    const auto k = static_cast<std::size_t>(
-                        std::countr_zero(m));
-                    m &= m - 1;
-                    if (k == greedy)
-                        continue;
-                    if (tryIssue(sched + k * cfg.issueWidth, now)) {
-                        rrPointer[sched] = k;
-                        break;
-                    }
-                }
-            } else {
-                for (std::size_t k = 0; k < count; ++k) {
-                    if (k == greedy)
-                        continue;
-                    if (tryIssue(sched + k * cfg.issueWidth, now)) {
-                        rrPointer[sched] = k;
-                        break;
-                    }
+            // Finished warps fail tryIssue without side effects, so
+            // walking only the issuable bits (in the same ascending
+            // order) is exact.
+            std::uint64_t m = issuableMask[sched];
+            while (m != 0) {
+                const auto k = static_cast<std::size_t>(std::countr_zero(m));
+                m &= m - 1;
+                if (k == greedy)
+                    continue;
+                if (tryIssue(sched + k * cfg.issueWidth, now)) {
+                    rrPointer[sched] = k;
+                    break;
                 }
             }
             continue;
@@ -543,36 +513,24 @@ StreamingMultiprocessor::scanWarps(Cycle now)
         // Loose round robin: positions rr, rr+1, ... wrapping, which
         // with the issuable mask is a find-first-set over the bits at
         // or above rr, then the bits below it.
-        if (useMasks) {
-            const std::size_t rr = rrPointer[sched] % count;
-            const std::uint64_t m = issuableMask[sched];
-            const std::uint64_t ge_rr = ~std::uint64_t{0} << rr;
-            std::uint64_t passes[2] = {m & ge_rr, m & ~ge_rr};
-            bool issued = false;
-            for (std::uint64_t pass : passes) {
-                while (pass != 0) {
-                    const auto k = static_cast<std::size_t>(
-                        std::countr_zero(pass));
-                    pass &= pass - 1;
-                    if (tryIssue(sched + k * cfg.issueWidth, now)) {
-                        rrPointer[sched] = (k + 1) % count;
-                        issued = true;
-                        break;
-                    }
-                }
-                if (issued)
-                    break;
-            }
-        } else {
-            for (std::size_t k = 0; k < count; ++k) {
-                const std::size_t slot =
-                    sched +
-                    ((rrPointer[sched] + k) % count) * cfg.issueWidth;
-                if (tryIssue(slot, now)) {
-                    rrPointer[sched] = (rrPointer[sched] + k + 1) % count;
+        const std::size_t rr = rrPointer[sched] % count;
+        const std::uint64_t m = issuableMask[sched];
+        const std::uint64_t ge_rr = ~std::uint64_t{0} << rr;
+        std::uint64_t passes[2] = {m & ge_rr, m & ~ge_rr};
+        bool issued = false;
+        for (std::uint64_t pass : passes) {
+            while (pass != 0) {
+                const auto k =
+                    static_cast<std::size_t>(std::countr_zero(pass));
+                pass &= pass - 1;
+                if (tryIssue(sched + k * cfg.issueWidth, now)) {
+                    rrPointer[sched] = (k + 1) % count;
+                    issued = true;
                     break;
                 }
             }
+            if (issued)
+                break;
         }
     }
 

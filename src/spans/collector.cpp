@@ -137,44 +137,23 @@ SpanCollector::clear()
     launches.clear();
 }
 
+template <typename Arena>
 void
-SpanCollector::saveState(common::ArenaWriter &w) const
+SpanCollector::transferState(Arena &a)
 {
     RCOAL_ASSERT(launches.empty(),
-                 "span snapshot requires a quiescent machine "
+                 "span snapshot or restore requires a quiescent machine "
                  "(%zu launches still registered)",
                  launches.size());
-    w.pod(cfg.sampleRate);
-    w.pod(nextSpanId);
-    w.pod(opened);
-    w.pod(finished);
-    slabStore.saveState(w);
-    w.pod(static_cast<std::uint64_t>(live.size()));
-    for (const auto &[id, totals] : live) {
-        w.pod(id);
-        w.pod(totals);
-    }
+    a.expect(cfg.sampleRate, "span sample rate");
+    a.pod(nextSpanId);
+    a.pod(opened);
+    a.pod(finished);
+    slabStore.transferState(a);
+    a.podMap(live);
 }
 
-void
-SpanCollector::restoreState(common::ArenaReader &r)
-{
-    const auto rate = r.take<std::uint32_t>();
-    RCOAL_ASSERT(rate == cfg.sampleRate,
-                 "span restore: sample rate mismatch (%u vs %u)", rate,
-                 cfg.sampleRate);
-    RCOAL_ASSERT(launches.empty(),
-                 "span restore requires a quiescent machine");
-    nextSpanId = r.take<std::uint32_t>();
-    opened = r.take<std::uint64_t>();
-    finished = r.take<std::uint64_t>();
-    slabStore.restoreState(r);
-    const auto count = r.take<std::uint64_t>();
-    live.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const auto id = r.take<std::uint32_t>();
-        live.emplace(id, r.take<StageTotals>());
-    }
-}
+template void SpanCollector::transferState(common::ArenaWriter &);
+template void SpanCollector::transferState(common::ArenaReader &);
 
 } // namespace rcoal::spans

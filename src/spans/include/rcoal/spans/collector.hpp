@@ -114,8 +114,8 @@ class SpanCollector
      * empty (machine quiescent) — the serve loop only snapshots
      * between batches, when every launch has been released.
      */
-    void saveState(common::ArenaWriter &w) const;
-    void restoreState(common::ArenaReader &r);
+    template <typename Arena>
+    void transferState(Arena &a);
 
   private:
     Config cfg;

@@ -1,6 +1,7 @@
 #include "rcoal/trace/dram_checker.hpp"
 
 #include "rcoal/common/logging.hpp"
+#include "rcoal/common/state_arena.hpp"
 
 namespace rcoal::trace {
 
@@ -289,60 +290,36 @@ DramProtocolChecker::reset()
     found.clear();
 }
 
+template <typename Arena>
 void
-DramProtocolChecker::saveState(common::ArenaWriter &w) const
+DramProtocolChecker::transferState(Arena &a)
 {
-    w.pod(static_cast<std::uint64_t>(banks.size()));
-    for (const BankState &bank : banks) {
-        w.pod(bank.openRow);
-        w.pod(bank.lastActivate);
-        w.pod(bank.lastRead);
-        w.pod(bank.lastPrecharge);
-        w.pod(bank.burstEnd);
+    a.expect(static_cast<std::uint64_t>(banks.size()), "checker bank count");
+    for (BankState &bank : banks) {
+        a.pod(bank.openRow);
+        a.pod(bank.lastActivate);
+        a.pod(bank.lastRead);
+        a.pod(bank.lastPrecharge);
+        a.pod(bank.burstEnd);
     }
-    w.pod(lastActivateAny);
-    w.pod(lastRefresh);
-    w.podVector(busBusyUntil);
-    w.podVector(lastActivateGroup);
-    w.podVector(lastReadGroup);
-    w.podVector(lastReadAnyPc);
-    w.pod(checked);
-    w.pod(static_cast<std::uint64_t>(found.size()));
-    for (const DramProtocolViolation &v : found) {
-        w.string(v.rule);
-        w.string(v.detail);
-        w.pod(v.cycle);
+    a.pod(lastActivateAny);
+    a.pod(lastRefresh);
+    a.podVector(busBusyUntil);
+    a.podVector(lastActivateGroup);
+    a.podVector(lastReadGroup);
+    a.podVector(lastReadAnyPc);
+    a.pod(checked);
+    std::uint64_t violations = found.size();
+    a.pod(violations);
+    found.resize(static_cast<std::size_t>(violations));
+    for (DramProtocolViolation &v : found) {
+        a.string(v.rule);
+        a.string(v.detail);
+        a.pod(v.cycle);
     }
 }
 
-void
-DramProtocolChecker::restoreState(common::ArenaReader &r)
-{
-    const auto count = r.take<std::uint64_t>();
-    RCOAL_ASSERT(count == banks.size(),
-                 "checker bank-count mismatch: snapshot has %llu, "
-                 "checker has %zu",
-                 static_cast<unsigned long long>(count), banks.size());
-    for (BankState &bank : banks) {
-        r.pod(bank.openRow);
-        r.pod(bank.lastActivate);
-        r.pod(bank.lastRead);
-        r.pod(bank.lastPrecharge);
-        r.pod(bank.burstEnd);
-    }
-    r.pod(lastActivateAny);
-    r.pod(lastRefresh);
-    r.podVector(busBusyUntil);
-    r.podVector(lastActivateGroup);
-    r.podVector(lastReadGroup);
-    r.podVector(lastReadAnyPc);
-    r.pod(checked);
-    found.resize(static_cast<std::size_t>(r.take<std::uint64_t>()));
-    for (DramProtocolViolation &v : found) {
-        r.string(v.rule);
-        r.string(v.detail);
-        r.pod(v.cycle);
-    }
-}
+template void DramProtocolChecker::transferState(common::ArenaWriter &);
+template void DramProtocolChecker::transferState(common::ArenaReader &);
 
 } // namespace rcoal::trace

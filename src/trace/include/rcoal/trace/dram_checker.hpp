@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "rcoal/common/state_arena.hpp"
 #include "rcoal/trace/event.hpp"
 
 namespace rcoal::trace {
@@ -116,11 +115,9 @@ class DramProtocolChecker
     /** Return to the freshly-constructed state (same params/mode). */
     void reset();
 
-    /** Serialize the full tracking state, verdicts included. */
-    void saveState(common::ArenaWriter &w) const;
-
-    /** Restore state saved by saveState(); params must match. */
-    void restoreState(common::ArenaReader &r);
+    /** Snapshot walk of the tracking state, verdicts included. */
+    template <typename Arena>
+    void transferState(Arena &a);
 
   private:
     struct BankState

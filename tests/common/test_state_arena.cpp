@@ -93,6 +93,32 @@ TEST(StateArenaDeathTest, ReadOverrunningItsRegionPanics)
         "overruns its region");
 }
 
+TEST(StateArenaDeathTest, ExpectMismatchPanics)
+{
+    StateArena arena;
+    {
+        ArenaWriter w(arena);
+        w.beginRegion(1);
+        w.expect(std::uint64_t{16}, "cache line count");
+        w.endRegion();
+    }
+    {
+        // The same value reads back cleanly.
+        ArenaReader r(arena);
+        r.beginRegion(1);
+        r.expect(std::uint64_t{16}, "cache line count");
+        r.endRegion();
+    }
+    EXPECT_DEATH(
+        {
+            ArenaReader r(arena);
+            r.beginRegion(1);
+            r.expect(std::uint64_t{32}, "cache line count");
+        },
+        "snapshot cache line count mismatch: arena holds 16, this "
+        "machine has 32");
+}
+
 TEST(StateArenaDeathTest, NestedRegionsPanic)
 {
     EXPECT_DEATH(

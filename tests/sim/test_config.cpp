@@ -128,6 +128,18 @@ TEST(GpuConfigDeathTest, RejectsTooManyBanks)
     EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1), "64 banks");
 }
 
+TEST(GpuConfigDeathTest, RejectsMoreThan64WarpsPerScheduler)
+{
+    // Each scheduler's issuable warps are one 64-bit mask.
+    GpuConfig cfg = GpuConfig::paperBaseline();
+    cfg.issueWidth = 2;
+    cfg.maxWarpsPerSm = 128;
+    cfg.validate(); // Exactly 64 per scheduler is fine.
+    cfg.maxWarpsPerSm = 129;
+    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                "64 warps per scheduler");
+}
+
 TEST(GpuConfigDeathTest, RejectsBadCacheGeometry)
 {
     // Cache geometry is validated even while the caches are disabled,

@@ -86,13 +86,13 @@ TEST(SpanSlab, ClearedSlabSerializesLikeFresh)
     {
         common::ArenaWriter w(used_arena);
         w.beginRegion(1);
-        used.saveState(w);
+        used.transferState(w);
         w.endRegion();
     }
     {
         common::ArenaWriter w(fresh_arena);
         w.beginRegion(1);
-        fresh.saveState(w);
+        fresh.transferState(w);
         w.endRegion();
     }
     EXPECT_TRUE(used_arena.byteEqual(fresh_arena));
@@ -108,14 +108,14 @@ TEST(SpanSlab, SaveRestoreRoundTrips)
     {
         common::ArenaWriter w(arena);
         w.beginRegion(1);
-        slab.saveState(w);
+        slab.transferState(w);
         w.endRegion();
     }
     SpanSlab restored(4);
     {
         common::ArenaReader r(arena);
         r.beginRegion(1);
-        restored.restoreState(r);
+        restored.transferState(r);
         r.endRegion();
         EXPECT_TRUE(r.atEnd());
     }
@@ -261,14 +261,14 @@ TEST(SpanCollector, SaveRestoreRoundTripsLiveSpans)
     {
         common::ArenaWriter w(arena);
         w.beginRegion(1);
-        collector.saveState(w);
+        collector.transferState(w);
         w.endRegion();
     }
     SpanCollector restored;
     {
         common::ArenaReader r(arena);
         r.beginRegion(1);
-        restored.restoreState(r);
+        restored.transferState(r);
         r.endRegion();
     }
     EXPECT_EQ(restored.spansOpened(), 2u);
@@ -286,14 +286,14 @@ TEST(SpanCollector, SaveRestoreRoundTripsLiveSpans)
     {
         common::ArenaReader r(arena);
         r.beginRegion(1);
-        again.restoreState(r);
+        again.transferState(r);
         r.endRegion();
     }
     common::StateArena second;
     {
         common::ArenaWriter w(second);
         w.beginRegion(1);
-        again.saveState(w);
+        again.transferState(w);
         w.endRegion();
     }
     EXPECT_TRUE(second.byteEqual(arena));
@@ -315,13 +315,13 @@ TEST(SpanCollector, ClearRestartsIdsAndMatchesFresh)
     {
         common::ArenaWriter w(used_arena);
         w.beginRegion(1);
-        used.saveState(w);
+        used.transferState(w);
         w.endRegion();
     }
     {
         common::ArenaWriter w(fresh_arena);
         w.beginRegion(1);
-        fresh.saveState(w);
+        fresh.transferState(w);
         w.endRegion();
     }
     EXPECT_TRUE(used_arena.byteEqual(fresh_arena));
