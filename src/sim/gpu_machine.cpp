@@ -239,6 +239,8 @@ GpuMachine::transferRegions(Arena &a)
     }
     a.endRegion();
 
+    // Presence and mode bytes are locals: the writer stores this
+    // machine's, the reader loads the snapshot's and adopts them.
     a.beginRegion(kTagChecker);
     std::uint8_t checking = !checkers.empty();
     a.pod(checking);
@@ -261,9 +263,9 @@ GpuMachine::transferRegions(Arena &a)
     a.endRegion();
 
     a.beginRegion(kTagSpans);
-    std::uint8_t had_spans = spanCollector != nullptr;
-    a.pod(had_spans);
-    if (had_spans != 0) {
+    std::uint8_t has_spans = spanCollector != nullptr;
+    a.pod(has_spans);
+    if (has_spans != 0) {
         RCOAL_ASSERT(spanCollector != nullptr,
                      "snapshot carries span state but no collector "
                      "is attached");
