@@ -4,17 +4,21 @@
  * with the offline batch statistic to floating-point noise, the alert
  * must respect the minimum-sample gate and count its clear->firing
  * transitions, and degenerate inputs must read as zero correlation
- * rather than NaN.
+ * rather than NaN. A golden digest pins the exposition and statistics
+ * of single, fleet and stage-labelled auditors sharing one registry.
  */
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "rcoal/common/stats.hpp"
 #include "rcoal/telemetry/leakage_auditor.hpp"
+#include "rcoal/telemetry/prometheus.hpp"
 #include "rcoal/telemetry/registry.hpp"
+#include "support/fnv.hpp"
 
 namespace rcoal::telemetry {
 namespace {
@@ -115,6 +119,96 @@ TEST(TelemetryLeakageAuditorDeathTest, RejectsBadConfiguration)
     LeakageAuditor::Config bad_samples;
     bad_samples.minSamples = 1;
     EXPECT_DEATH(LeakageAuditor(reg, bad_samples), "samples");
+}
+
+/** Deterministic uniform noise in [0, 1) for the golden series. */
+double
+lcgNoise(std::uint64_t &state)
+{
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state >> 40) / double{1 << 24};
+}
+
+TEST(TelemetryLeakageAuditor, FamilyExpositionGolden)
+{
+    // Three auditor shapes on one registry: a single labelled series,
+    // a fleet (aggregate + three replicas, replica 1 never fed) and a
+    // stage family (three stages under base labels, stage 2 never
+    // fed). The exposition pins registration order, label order and
+    // every gauge; the accessor digest pins the statistics.
+    MetricRegistry reg;
+    const LeakageAuditor::Config cfg;
+    LeakageAuditor single(reg, cfg, {{"policy", "BASE"}});
+    FleetLeakageAuditor fleet(reg, cfg, 3);
+    StageLeakageAuditor stage(reg, cfg, {"queue", "coalesce", "dram"},
+                              {{"policy", "BASE"}, {"hierarchy", "flat"}});
+
+    std::uint64_t state = 20261021;
+    for (int i = 0; i < 40; ++i) {
+        const double x = 8.0 + (i % 13);
+        const double noise = lcgNoise(state);
+        // Signal early, pure noise late: alerts fire and some clear
+        // again. Replica 0 sees signal throughout, replica 2 none.
+        const double y = (i < 28 ? 3.0 * x : 0.0) + 20.0 * noise;
+        single.observe(x, y);
+        if (i % 2 == 0)
+            fleet.observe(0u, x, 3.0 * x + 20.0 * noise);
+        else
+            fleet.observe(2u, x, 50.0 * noise);
+        stage.observe(0, x, y);
+        stage.observe(1, x, 100.0 * lcgNoise(state));
+    }
+
+    test::Fnv text;
+    text.str(renderPrometheus(reg));
+
+    test::Fnv values;
+    values.f64(single.correlation());
+    values.u64(single.samples());
+    values.u64(single.alerting());
+    values.f64(single.alertThreshold());
+    for (unsigned r = 0; r < 3; ++r) {
+        values.f64(fleet.correlation(r));
+        values.u64(fleet.samples(r));
+    }
+    values.u64(fleet.alerting());
+    for (std::size_t s = 0; s < 3; ++s) {
+        values.f64(stage.correlation(s));
+        values.u64(stage.samples(s));
+        values.u64(stage.alerting(s));
+    }
+
+    EXPECT_EQ(single.samples(), 40u);
+    EXPECT_EQ(fleet.samples(0), 20u);
+    EXPECT_EQ(fleet.samples(1), 0u);
+    EXPECT_EQ(fleet.samples(2), 20u);
+    EXPECT_EQ(stage.samples(0), 40u);
+    EXPECT_EQ(stage.samples(2), 0u);
+    EXPECT_EQ(stage.correlation(2), 0.0);
+    EXPECT_FALSE(single.alerting()); // Fired, then cleared.
+    EXPECT_TRUE(fleet.alerting());   // Replica 0 still fires.
+    EXPECT_EQ(text.value(), 0x143b04af63e2dae4ull);
+    EXPECT_EQ(values.value(), 0xf9c8e8c04d9f6a42ull);
+}
+
+TEST(TelemetryLeakageAuditorDeathTest, RejectsUnknownReplica)
+{
+    MetricRegistry reg;
+    FleetLeakageAuditor fleet(reg, LeakageAuditor::Config{}, 3);
+    EXPECT_DEATH(fleet.observe(3, 1.0, 2.0), "unknown");
+    EXPECT_DEATH((void)fleet.correlation(3), "unknown");
+    EXPECT_DEATH((void)fleet.samples(3), "unknown");
+}
+
+TEST(TelemetryLeakageAuditorDeathTest, RejectsUnknownStage)
+{
+    MetricRegistry reg;
+    StageLeakageAuditor stage(reg, LeakageAuditor::Config{},
+                              {"queue", "coalesce", "dram"});
+    EXPECT_DEATH(stage.observe(3, 1.0, 2.0), "unknown");
+    EXPECT_DEATH((void)stage.correlation(3), "unknown");
+    EXPECT_DEATH((void)stage.alerting(3), "unknown");
+    EXPECT_DEATH((void)stage.samples(3), "unknown");
 }
 
 } // namespace
