@@ -382,8 +382,14 @@ GpuMachine::reset()
         sink->clear();
     if (spanCollector != nullptr)
         spanCollector->clear();
-    if (telemetrySampler != nullptr)
+    if (telemetrySampler != nullptr) {
+        // Counters mirror cumulative machine state, which restarts at
+        // zero; the collect refreshes the point-in-time gauges.
         telemetrySampler->reset();
+        for (telemetry::Counter *counter : telemetryCounters)
+            *counter = telemetry::Counter{};
+        telemetrySampler->collect(nowCycle);
+    }
 }
 
 KernelStats
@@ -465,17 +471,21 @@ void
 GpuMachine::setTelemetry(telemetry::TelemetrySampler *sampler)
 {
     telemetrySampler = sampler;
+    telemetryCounters.clear();
     if (sampler == nullptr)
         return;
     sampler->alignAfter(nowCycle);
 
     telemetry::MetricRegistry &reg = sampler->registry();
+    const auto counter = [&](const auto &...args) {
+        return telemetryCounters.emplace_back(&reg.counter(args...));
+    };
     auto cells = std::make_shared<MachineCells>();
-    cells->simCycles = &reg.counter("rcoal_sim_cycles_total",
-                                    "Core cycles simulated");
-    cells->kernelsLaunched = &reg.counter(
+    cells->simCycles =
+        counter("rcoal_sim_cycles_total", "Core cycles simulated");
+    cells->kernelsLaunched = counter(
         "rcoal_kernels_launched_total", "Kernel launches started");
-    cells->kernelsRetired = &reg.counter(
+    cells->kernelsRetired = counter(
         "rcoal_kernels_retired_total",
         "Kernel launches completed and taken");
     cells->residentKernels = &reg.gauge(
@@ -485,19 +495,19 @@ GpuMachine::setTelemetry(telemetry::TelemetrySampler *sampler)
         "rcoal_sm_busy", "SMs currently allocated to a launch");
     reg.gauge("rcoal_sm_total", "SMs in the machine")
         .set(static_cast<double>(cfg.numSms));
-    cells->warpInstructions = &reg.counter(
+    cells->warpInstructions = counter(
         "rcoal_warp_instructions_total",
         "Warp instructions issued across all launches");
-    cells->memInstructions = &reg.counter(
+    cells->memInstructions = counter(
         "rcoal_mem_instructions_total",
         "Memory warp instructions issued across all launches");
-    cells->coalescedAccesses = &reg.counter(
+    cells->coalescedAccesses = counter(
         "rcoal_coalesced_accesses_total",
         "Coalesced memory accesses generated (loads + stores)");
-    cells->prtStalls = &reg.counter(
+    cells->prtStalls = counter(
         "rcoal_sm_prt_stall_cycles_total",
         "Cycles memory issue stalled on a full PRT");
-    cells->icnStalls = &reg.counter(
+    cells->icnStalls = counter(
         "rcoal_sm_icn_stall_cycles_total",
         "Cycles the LD/ST head stalled on interconnect backpressure");
     cells->prtFill = &reg.gauge(
@@ -510,24 +520,24 @@ GpuMachine::setTelemetry(telemetry::TelemetrySampler *sampler)
 
     const telemetry::MetricRegistry::Labels l1_labels{{"level", "l1"}};
     const telemetry::MetricRegistry::Labels l2_labels{{"level", "l2"}};
-    cells->l1Hits = &reg.counter("rcoal_cache_hits_total",
-                                 "Cache lookups that hit", l1_labels);
-    cells->l1Misses = &reg.counter("rcoal_cache_misses_total",
-                                   "Cache lookups that missed", l1_labels);
-    cells->l1SectorMisses = &reg.counter(
+    cells->l1Hits =
+        counter("rcoal_cache_hits_total", "Cache lookups that hit", l1_labels);
+    cells->l1Misses = counter("rcoal_cache_misses_total",
+                              "Cache lookups that missed", l1_labels);
+    cells->l1SectorMisses = counter(
         "rcoal_cache_sector_misses_total",
         "Misses with the line resident but a sector invalid", l1_labels);
-    cells->l1MshrMerges = &reg.counter(
+    cells->l1MshrMerges = counter(
         "rcoal_mshr_merges_total",
         "Misses merged into an in-flight MSHR entry", l1_labels);
-    cells->l2Hits = &reg.counter("rcoal_cache_hits_total",
-                                 "Cache lookups that hit", l2_labels);
-    cells->l2Misses = &reg.counter("rcoal_cache_misses_total",
-                                   "Cache lookups that missed", l2_labels);
-    cells->l2SectorMisses = &reg.counter(
+    cells->l2Hits =
+        counter("rcoal_cache_hits_total", "Cache lookups that hit", l2_labels);
+    cells->l2Misses = counter("rcoal_cache_misses_total",
+                              "Cache lookups that missed", l2_labels);
+    cells->l2SectorMisses = counter(
         "rcoal_cache_sector_misses_total",
         "Misses with the line resident but a sector invalid", l2_labels);
-    cells->l2MshrMerges = &reg.counter(
+    cells->l2MshrMerges = counter(
         "rcoal_mshr_merges_total",
         "Misses merged into an in-flight MSHR entry", l2_labels);
     reg.gauge("rcoal_dram_backend_info",
@@ -539,10 +549,10 @@ GpuMachine::setTelemetry(telemetry::TelemetrySampler *sampler)
     const telemetry::MetricRegistry::Labels req_labels{{"xbar", "req"}};
     const telemetry::MetricRegistry::Labels resp_labels{
         {"xbar", "resp"}};
-    cells->reqPackets = &reg.counter(
+    cells->reqPackets = counter(
         "rcoal_xbar_packets_total",
         "Packets transferred through a crossbar", req_labels);
-    cells->respPackets = &reg.counter(
+    cells->respPackets = counter(
         "rcoal_xbar_packets_total",
         "Packets transferred through a crossbar", resp_labels);
     cells->reqQueued = &reg.gauge(
@@ -562,12 +572,12 @@ GpuMachine::setTelemetry(telemetry::TelemetrySampler *sampler)
             "rcoal_dram_queue_depth",
             "Unserviced requests queued at a DRAM partition",
             part_labels);
-        pc.refreshes = &reg.counter(
+        pc.refreshes = counter(
             "rcoal_dram_refreshes_total",
             "All-bank refreshes issued by a DRAM partition",
             part_labels);
         if (p < checkers.size() && checkers[p] != nullptr) {
-            pc.violations = &reg.counter(
+            pc.violations = counter(
                 "rcoal_dram_protocol_violations_total",
                 "DRAM protocol violations collected by the checker",
                 part_labels);
@@ -577,16 +587,14 @@ GpuMachine::setTelemetry(telemetry::TelemetrySampler *sampler)
             const telemetry::MetricRegistry::Labels bank_labels{
                 {"partition", part}, {"bank", strprintf("%u", b)}};
             pc.banks[b] = {
-                &reg.counter("rcoal_dram_row_hits_total",
-                             "Row-buffer hits per DRAM bank",
-                             bank_labels),
-                &reg.counter("rcoal_dram_row_misses_total",
-                             "Row-buffer misses per DRAM bank",
-                             bank_labels),
-                &reg.counter("rcoal_dram_activates_total",
-                             "ACT commands per DRAM bank", bank_labels),
-                &reg.counter("rcoal_dram_precharges_total",
-                             "PRE commands per DRAM bank", bank_labels),
+                counter("rcoal_dram_row_hits_total",
+                        "Row-buffer hits per DRAM bank", bank_labels),
+                counter("rcoal_dram_row_misses_total",
+                        "Row-buffer misses per DRAM bank", bank_labels),
+                counter("rcoal_dram_activates_total",
+                        "ACT commands per DRAM bank", bank_labels),
+                counter("rcoal_dram_precharges_total",
+                        "PRE commands per DRAM bank", bank_labels),
             };
         }
     }

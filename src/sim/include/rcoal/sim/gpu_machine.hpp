@@ -40,6 +40,7 @@
 #include "rcoal/trace/tracer.hpp"
 
 namespace rcoal::telemetry {
+class Counter;
 class TelemetrySampler;
 } // namespace rcoal::telemetry
 
@@ -297,8 +298,9 @@ class GpuMachine
     /**
      * Return to the freshly-constructed state: counters, clocks, warm
      * caches, DRAM timing, checkers, attached trace sinks, and an
-     * attached telemetry sampler's recording. Requires quiescent().
-     * Gated by the reset-vs-fresh byte-identity audit test.
+     * attached telemetry sampler's recording and machine instruments.
+     * Requires quiescent(). Gated by the reset-vs-fresh byte-identity
+     * audit tests.
      */
     void reset();
 
@@ -534,6 +536,8 @@ class GpuMachine
     spans::SpanCollector *spanCollector = nullptr;
     std::uint32_t spanNamespace = 0;
     telemetry::TelemetrySampler *telemetrySampler = nullptr;
+    /** Cumulative instruments setTelemetry() registered; reset() zeroes. */
+    std::vector<telemetry::Counter *> telemetryCounters;
     KernelStats retiredTotals; ///< Sum of all taken launches' stats.
     std::uint64_t retiredLaunches = 0;
 

@@ -155,6 +155,36 @@ TEST(SnapshotFork, ResetWithCheckerMatchesFreshMachine)
     EXPECT_TRUE(used.snapshot().byteEqual(fresh.snapshot()));
 }
 
+TEST(SnapshotFork, ResetWithTelemetryMatchesFreshMachine)
+{
+    // A sampler attached through the warm-up; after reset() the
+    // exposition must equal a fresh machine and sampler's, both before
+    // and after the same measured launch.
+    const GpuConfig cfg = hierarchyConfig(DramBackendKind::Hbm2);
+    constexpr Cycle kInterval = 256;
+
+    telemetry::MetricRegistry used_registry;
+    telemetry::TelemetrySampler used_sampler(used_registry, kInterval);
+    GpuMachine used(cfg);
+    used.setTelemetry(&used_sampler);
+    runTestWarmups(used, /*plaintext_root=*/23, /*warmup=*/3);
+    used.reset();
+
+    telemetry::MetricRegistry fresh_registry;
+    telemetry::TelemetrySampler fresh_sampler(fresh_registry, kInterval);
+    GpuMachine fresh(cfg);
+    fresh.setTelemetry(&fresh_sampler);
+    EXPECT_EQ(telemetry::renderPrometheus(used_registry),
+              telemetry::renderPrometheus(fresh_registry));
+
+    (void)runMeasuredLaunch(used);
+    (void)runMeasuredLaunch(fresh);
+    EXPECT_GT(fresh_sampler.samplesTaken(), 2u);
+    EXPECT_EQ(telemetry::renderPrometheus(used_registry),
+              telemetry::renderPrometheus(fresh_registry));
+    EXPECT_EQ(used_sampler.seriesJson(), fresh_sampler.seriesJson());
+}
+
 TEST(SnapshotFork, RestoreRoundTripsTheArena)
 {
     const GpuConfig cfg = hierarchyConfig(DramBackendKind::Gddr6);
