@@ -47,6 +47,8 @@ namespace {
 using namespace rcoal;
 
 constexpr unsigned kReplicas = 3;
+/** The auditor's replica="fleet" aggregate series. */
+constexpr std::size_t kFleet = telemetry::LeakageAuditor::kAggregate;
 
 /** One (coalescing, routing, placement) cell of the sweep. */
 struct Scenario
@@ -66,7 +68,7 @@ struct ScenarioResult
     /** Live-telemetry state; outlives the run for rendering. */
     std::unique_ptr<telemetry::MetricRegistry> registry;
     std::unique_ptr<telemetry::TelemetrySampler> sampler;
-    std::unique_ptr<telemetry::FleetLeakageAuditor> auditor;
+    std::unique_ptr<telemetry::LeakageAuditor> auditor;
 };
 
 sim::GpuConfig
@@ -220,7 +222,7 @@ main(int argc, char **argv)
              rcoal::TablePrinter::num(r.report.throughputReqPerSec, 0),
              rcoal::TablePrinter::num(
                  static_cast<std::int64_t>(r.report.rejected)),
-             rcoal::TablePrinter::num(r.auditor->fleetCorrelation(), 4),
+             rcoal::TablePrinter::num(r.auditor->correlation(kFleet), 4),
              rcoal::TablePrinter::num(r.attack.avgCorrectCorrelation, 4),
              rcoal::TablePrinter::num(r.attack.bytesRecovered) + "/16"});
     }
@@ -259,8 +261,8 @@ main(int argc, char **argv)
                         r.auditor->samples(rep));
         }
         std::printf("  fleet %+0.4f|%zu%s\n",
-                    r.auditor->fleetCorrelation(),
-                    r.auditor->fleetSamples(),
+                    r.auditor->correlation(kFleet),
+                    r.auditor->samples(kFleet),
                     r.auditor->alerting() ? "  ALERT" : "");
     }
 
@@ -355,7 +357,7 @@ main(int argc, char **argv)
             placementName(r.scenario.pinned), all.p50, all.p99, all.p999,
             r.report.throughputReqPerSec,
             static_cast<unsigned long long>(r.report.rejected),
-            r.auditor->fleetCorrelation());
+            r.auditor->correlation(kFleet));
     }
     fleet_json += "}";
     engine.setExtra("fleet_slo", fleet_json);

@@ -8,7 +8,8 @@
  * time into one number. This driver splits that number by pipeline
  * stage: every request carries a span (rcoal::spans) whose per-stage
  * last-round cycle totals are correlated, stage by stage, against the
- * request's predicted baseline access count (StageLeakageAuditor).
+ * request's predicted baseline access count (a stage-labelled
+ * LeakageAuditor family).
  *
  * The paper's prediction (Kadam et al., HPCA'18, Sec. III): the
  * channel is created at the coalescer — the access COUNT is the secret
@@ -30,7 +31,6 @@
  * zero and the verdict lines say so instead of failing.
  */
 
-#include <cctype>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -40,7 +40,6 @@
 #include "rcoal/spans/analysis.hpp"
 #include "rcoal/spans/collector.hpp"
 #include "rcoal/telemetry/leakage_auditor.hpp"
-#include "rcoal/telemetry/prometheus.hpp"
 #include "rcoal/telemetry/sampler.hpp"
 #include "rcoal/trace/event.hpp"
 #include "support/bench_support.hpp"
@@ -69,7 +68,7 @@ struct ScenarioResult
     std::unique_ptr<telemetry::MetricRegistry> registry;
     std::unique_ptr<telemetry::TelemetrySampler> sampler;
     std::unique_ptr<telemetry::LeakageAuditor> auditor;
-    std::unique_ptr<telemetry::StageLeakageAuditor> stageAuditor;
+    std::unique_ptr<telemetry::LeakageAuditor> stageAuditor;
     std::unique_ptr<spans::SpanCollector> collector;
     std::unique_ptr<spans::CriticalPathReducer> reducer;
 };
@@ -133,14 +132,20 @@ slabDigest(const spans::SpanSlab &slab)
     return hash;
 }
 
+/** Label value of stage auditor series @p s. */
+const char *
+stageName(std::size_t s)
+{
+    return spans::spanStageName(static_cast<spans::SpanStage>(s));
+}
+
 std::vector<std::string>
 stageNames()
 {
     std::vector<std::string> names;
     names.reserve(spans::kNumSpanStages);
     for (std::size_t s = 0; s < spans::kNumSpanStages; ++s)
-        names.emplace_back(
-            spans::spanStageName(static_cast<spans::SpanStage>(s)));
+        names.emplace_back(stageName(s));
     return names;
 }
 
@@ -163,10 +168,9 @@ runScenario(const Scenario &scenario, std::size_t index,
         {"hierarchy", scenario.hierName}};
     result.auditor = std::make_unique<telemetry::LeakageAuditor>(
         *result.registry, telemetry::LeakageAuditor::Config{}, labels);
-    result.stageAuditor =
-        std::make_unique<telemetry::StageLeakageAuditor>(
-            *result.registry, telemetry::LeakageAuditor::Config{},
-            stageNames(), labels);
+    result.stageAuditor = std::make_unique<telemetry::LeakageAuditor>(
+        *result.registry, telemetry::LeakageAuditor::Config{}, labels,
+        "stage", stageNames());
     spans::SpanCollector::Config span_cfg;
     span_cfg.sampleRate = span_sample_rate;
     result.collector =
@@ -199,36 +203,6 @@ runScenario(const Scenario &scenario, std::size_t index,
     }
     result.slabDigest = slabDigest(result.collector->slab());
     return result;
-}
-
-/** Lowercased copy for snapshot filenames. */
-std::string
-lowered(const char *s)
-{
-    std::string out(s);
-    for (char &c : out)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return out;
-}
-
-/** Lint-checked Prometheus snapshot of one scenario's registry. */
-void
-writeSnapshot(const std::string &dir, const ScenarioResult &r)
-{
-    const std::string path = dir + "/" +
-                             lowered(r.scenario.coalescingToken) + "_" +
-                             r.scenario.hierName + ".prom";
-    const std::string text = telemetry::renderPrometheus(*r.registry);
-    if (const auto lint = telemetry::lintPrometheus(text)) {
-        fatal("telemetry exposition failed lint for %s: %s",
-              path.c_str(), lint->c_str());
-    }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        fatal("cannot write telemetry snapshot %s", path.c_str());
-    std::fputs(text.c_str(), f);
-    std::fclose(f);
-    std::printf("  wrote %s\n", path.c_str());
 }
 
 } // namespace
@@ -341,19 +315,14 @@ main(int argc, char **argv)
     for (const auto &r : results) {
         std::printf("  %-8s %-5s", r.scenario.coalescingName,
                     r.scenario.hierName);
-        for (std::size_t s = 0; s < r.stageAuditor->stages(); ++s) {
+        for (std::size_t s = 0; s < r.stageAuditor->series(); ++s) {
             if (r.stageAuditor->alerting(s)) {
-                std::printf(" %s(%+0.3f)",
-                            r.stageAuditor->stageName(s).c_str(),
+                std::printf(" %s(%+0.3f)", stageName(s),
                             r.stageAuditor->correlation(s));
             }
         }
-        std::printf("%s\n", [&] {
-            for (std::size_t s = 0; s < r.stageAuditor->stages(); ++s)
-                if (r.stageAuditor->alerting(s))
-                    return "";
-            return " (all stages quiet)";
-        }());
+        std::printf("%s\n",
+                    r.stageAuditor->alerting() ? "" : " (all stages quiet)");
     }
 
     // The paper's prediction, as pass/fail lines. Under a TRACE=OFF
@@ -381,11 +350,8 @@ main(int argc, char **argv)
                 !r.stageAuditor->alerting(st_dram))
                 base_localized = false;
         }
-        if (is_randomized) {
-            for (std::size_t s = 0; s < r.stageAuditor->stages(); ++s)
-                if (r.stageAuditor->alerting(s))
-                    randomized_quiet = false;
-        }
+        if (is_randomized && r.stageAuditor->alerting())
+            randomized_quiet = false;
     }
 #if RCOAL_TRACE_ENABLED
     std::printf("\nBASE leak localizes to coalesce+dram_service: %s\n",
@@ -401,8 +367,13 @@ main(int argc, char **argv)
     if (!opts.telemetryDir.empty()) {
         std::printf("\ntelemetry snapshots (%s):\n",
                     opts.telemetryDir.c_str());
-        for (const auto &r : results)
-            writeSnapshot(opts.telemetryDir, r);
+        for (const auto &r : results) {
+            rcoal::bench::writePromSnapshot(
+                opts.telemetryDir + "/" +
+                    rcoal::bench::lowered(r.scenario.coalescingToken) +
+                    "_" + r.scenario.hierName + ".prom",
+                *r.registry);
+        }
     }
 
     // Engine report: serve throughput per scenario plus the span
@@ -439,10 +410,9 @@ main(int argc, char **argv)
             spans::spanStageName(r.reducer->dominantStage()));
         attribution_json +=
             strprintf("%s\"%s\":{", i == 0 ? "" : ",", key.c_str());
-        for (std::size_t s = 0; s < r.stageAuditor->stages(); ++s) {
+        for (std::size_t s = 0; s < r.stageAuditor->series(); ++s) {
             attribution_json += strprintf(
-                "%s\"%s\":%.6f", s == 0 ? "" : ",",
-                r.stageAuditor->stageName(s).c_str(),
+                "%s\"%s\":%.6f", s == 0 ? "" : ",", stageName(s),
                 r.stageAuditor->correlation(s));
         }
         attribution_json += "}";

@@ -25,7 +25,6 @@
  * every number printed is byte-identical for any RCOAL_THREADS.
  */
 
-#include <cctype>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -33,7 +32,6 @@
 #include "rcoal/attack/served_attack.hpp"
 #include "rcoal/common/logging.hpp"
 #include "rcoal/telemetry/leakage_auditor.hpp"
-#include "rcoal/telemetry/prometheus.hpp"
 #include "rcoal/telemetry/sampler.hpp"
 #include "rcoal/trace/chrome_trace.hpp"
 #include "rcoal/trace/tracer.hpp"
@@ -178,37 +176,6 @@ runScenario(const Scenario &scenario, std::size_t index,
 
     result.report = std::move(set.report);
     return result;
-}
-
-/** Lowercased copy for snapshot filenames. */
-std::string
-lowered(const char *s)
-{
-    std::string out(s);
-    for (char &c : out)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return out;
-}
-
-/** Lint-checked Prometheus snapshot of one scenario's registry. */
-void
-writeSnapshot(const std::string &dir, const ScenarioResult &r)
-{
-    const std::string path =
-        dir + "/" + lowered(r.scenario.coalescingToken) + "_" +
-        lowered(serve::batchPolicyName(r.scenario.policy)) + "_" +
-        lowered(r.scenario.loadName) + ".prom";
-    const std::string text = telemetry::renderPrometheus(*r.registry);
-    if (const auto lint = telemetry::lintPrometheus(text)) {
-        fatal("telemetry exposition failed lint for %s: %s",
-              path.c_str(), lint->c_str());
-    }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        fatal("cannot write telemetry snapshot %s", path.c_str());
-    std::fputs(text.c_str(), f);
-    std::fclose(f);
-    std::printf("  wrote %s\n", path.c_str());
 }
 
 } // namespace
@@ -369,8 +336,15 @@ main(int argc, char **argv)
     if (!opts.telemetryDir.empty()) {
         std::printf("\ntelemetry snapshots (%s):\n",
                     opts.telemetryDir.c_str());
-        for (const auto &r : results)
-            writeSnapshot(opts.telemetryDir, r);
+        using rcoal::bench::lowered;
+        for (const auto &r : results) {
+            rcoal::bench::writePromSnapshot(
+                opts.telemetryDir + "/" +
+                    lowered(r.scenario.coalescingToken) + "_" +
+                    lowered(serve::batchPolicyName(r.scenario.policy)) +
+                    "_" + lowered(r.scenario.loadName) + ".prom",
+                *r.registry);
+        }
     }
 
     for (const auto &r : results) {

@@ -6,7 +6,9 @@
 #include "bench_support.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -15,6 +17,7 @@
 #include "rcoal/common/logging.hpp"
 #include "rcoal/sim/config.hpp"
 #include "rcoal/sim/gpu_machine.hpp"
+#include "rcoal/telemetry/prometheus.hpp"
 
 namespace rcoal::bench {
 
@@ -462,6 +465,32 @@ runScatterFigure(
     }
     std::printf("\n");
     table.print();
+}
+
+std::string
+lowered(const char *s)
+{
+    std::string out(s);
+    for (char &c : out)
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return out;
+}
+
+void
+writePromSnapshot(const std::string &path,
+                  const telemetry::MetricRegistry &registry)
+{
+    const std::string text = telemetry::renderPrometheus(registry);
+    if (const auto lint = telemetry::lintPrometheus(text)) {
+        fatal("telemetry exposition failed lint for %s: %s",
+              path.c_str(), lint->c_str());
+    }
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        fatal("cannot write telemetry snapshot %s", path.c_str());
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    std::printf("  wrote %s\n", path.c_str());
 }
 
 } // namespace rcoal::bench

@@ -21,6 +21,7 @@
 #include "rcoal/common/stats.hpp"
 #include "rcoal/common/table_printer.hpp"
 #include "rcoal/common/thread_pool.hpp"
+#include "rcoal/telemetry/registry.hpp"
 
 namespace rcoal::bench {
 
@@ -217,6 +218,16 @@ void runScatterFigure(
     const std::string &title,
     const std::function<core::CoalescingPolicy(unsigned)> &policy_for_m,
     unsigned samples);
+
+/** Lowercased copy, for snapshot file names. */
+std::string lowered(const char *s);
+
+/**
+ * Render @p registry as a Prometheus exposition, fatal if it fails
+ * lint, and write it to @p path.
+ */
+void writePromSnapshot(const std::string &path,
+                       const telemetry::MetricRegistry &registry);
 
 } // namespace rcoal::bench
 

@@ -102,8 +102,11 @@ FleetServer::run(const FleetWorkloadSpec &spec,
     // scaling works (and stays deterministic) without observers.
     telemetry::TelemetrySampler *sampler =
         telemetry != nullptr ? telemetry->sampler : nullptr;
-    telemetry::FleetLeakageAuditor *auditor =
+    telemetry::LeakageAuditor *auditor =
         telemetry != nullptr ? telemetry->auditor : nullptr;
+    RCOAL_ASSERT(auditor == nullptr || (auditor->series() == num_replicas &&
+                                        auditor->hasAggregate()),
+                 "fleet auditor needs a series per replica and an aggregate");
     spans::SpanCollector *span_collector =
         telemetry != nullptr ? telemetry->spans : nullptr;
     if (span_collector != nullptr) {
@@ -197,7 +200,8 @@ FleetServer::run(const FleetWorkloadSpec &spec,
         });
         if (auditor != nullptr) {
             sampler->track("fleet_leakage_correlation", [auditor] {
-                return auditor->fleetCorrelation();
+                return auditor->correlation(
+                    telemetry::LeakageAuditor::kAggregate);
             });
         }
         sampler->alignAfter(0);

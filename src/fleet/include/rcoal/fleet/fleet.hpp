@@ -29,7 +29,7 @@ class SpanCollector;
 } // namespace rcoal::spans
 
 namespace rcoal::telemetry {
-class FleetLeakageAuditor;
+class LeakageAuditor;
 class TelemetrySampler;
 } // namespace rcoal::telemetry
 
@@ -67,15 +67,21 @@ struct FleetWorkloadSpec
 };
 
 /**
- * Live observability for one fleet run; both optional, but the auditor
- * requires the sampler (its instruments live in the sampler's
- * registry). Must outlive run(); run-local callbacks are detached
- * before it returns, mirroring serve::ServeTelemetry.
+ * Live observability for one fleet run; every hook is optional and
+ * independent. The auditor is fed one observation per completed probe
+ * with or without a sampler; with both attached the sampler also
+ * records the aggregate correlation. Must outlive run(); run-local
+ * callbacks are detached before it returns, mirroring
+ * serve::ServeTelemetry.
  */
 struct FleetTelemetry
 {
     telemetry::TelemetrySampler *sampler = nullptr;
-    telemetry::FleetLeakageAuditor *auditor = nullptr;
+    /**
+     * One series per replica plus the replica="fleet" aggregate, as
+     * telemetry::FleetLeakageAuditor builds it.
+     */
+    telemetry::LeakageAuditor *auditor = nullptr;
 
     /**
      * Optional fleet-wide span tracing: one collector shared by every

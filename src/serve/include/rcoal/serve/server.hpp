@@ -30,7 +30,6 @@ class Tracer;
 
 namespace rcoal::telemetry {
 class LeakageAuditor;
-class StageLeakageAuditor;
 class TelemetrySampler;
 } // namespace rcoal::telemetry
 
@@ -97,12 +96,13 @@ struct ServeTelemetry
     spans::SpanCollector *spans = nullptr;
 
     /**
-     * Optional leakage attribution: requires `spans`. Fed one
-     * observation per completed *sampled* probe and stage — predicted
-     * baseline accesses vs. that stage's last-round duration — so the
+     * Optional leakage attribution: requires `spans`, and one series
+     * per span stage (labelled stage="<name>"). Fed one observation per
+     * completed *sampled* probe and stage — predicted baseline
+     * accesses vs. that stage's last-round duration — so the
      * per-stage Pearson correlations localize the leak.
      */
-    telemetry::StageLeakageAuditor *stageAuditor = nullptr;
+    telemetry::LeakageAuditor *stageAuditor = nullptr;
 };
 
 /**

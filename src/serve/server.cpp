@@ -118,7 +118,7 @@ EncryptionServer::run(const WorkloadSpec &spec,
     // collector then rides the machine through snapshot()/restore().
     spans::SpanCollector *span_collector =
         telemetry != nullptr ? telemetry->spans : nullptr;
-    telemetry::StageLeakageAuditor *stage_auditor =
+    telemetry::LeakageAuditor *stage_auditor =
         telemetry != nullptr ? telemetry->stageAuditor : nullptr;
     RCOAL_ASSERT(stage_auditor == nullptr || span_collector != nullptr,
                  "stage auditor requires a span collector");

@@ -19,13 +19,26 @@
  * (a pure function of request data), NOT the count the hardware
  * actually performed: actual accesses correlate with time under every
  * policy, predicted ones only when the policy leaks.
+ *
+ * One auditor is a family of such cells, one per labelled series:
+ *
+ *  - a single series (benches label it per coalescing policy);
+ *  - per-replica series replica="<i>" plus an aggregate
+ *    replica="fleet" that sees every observation. An attacker pinned
+ *    to one replica concentrates signal where that replica's cell
+ *    watches; spraying probes dilutes every per-replica series, but
+ *    the aggregate still accumulates the full sample;
+ *  - per-stage series stage="<name>" (leakage *attribution*): the
+ *    predicted access count against each pipeline stage's last-round
+ *    duration, so a run reports WHERE the key-dependent time lives.
+ *    Pearson correlation is scale- and offset-invariant, so stages in
+ *    different clock domains attribute correctly without conversion.
  */
 
 #ifndef RCOAL_TELEMETRY_LEAKAGE_AUDITOR_HPP
 #define RCOAL_TELEMETRY_LEAKAGE_AUDITOR_HPP
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,133 +56,100 @@ class LeakageAuditor
         std::size_t minSamples = 8;
     };
 
+    /** Series index that addresses the aggregate cell. */
+    static constexpr std::size_t kAggregate = static_cast<std::size_t>(-1);
+
     /**
-     * Registers the auditor's instruments in @p registry under the
-     * given label set (benches label per coalescing policy).
+     * Registers each cell's five instruments in @p registry. With no
+     * @p key the auditor is one series labelled @p labels. Otherwise
+     * series i is labelled @p labels plus (@p key, @p values[i]), and
+     * a non-null @p aggregate adds a cell labelled
+     * (@p key, @p aggregate) that every observation also feeds; it
+     * registers before the series.
      */
     LeakageAuditor(MetricRegistry &registry, const Config &config,
-                   const MetricRegistry::Labels &labels = {});
+                   const MetricRegistry::Labels &labels = {},
+                   const std::string &key = {},
+                   const std::vector<std::string> &values = {{}},
+                   const char *aggregate = nullptr);
 
     /**
-     * Feed one completed request: @p predicted_accesses is the
-     * baseline-coalescing access count predicted from the request
-     * data; @p measured_time is the attacker-visible last-round
-     * duration (memory-clock cycles).
+     * Feed one completed request to @p series (and the aggregate):
+     * @p x is the baseline-coalescing access count predicted from the
+     * request data; @p y is the attacker-visible duration (last round,
+     * or one stage's slice).
      */
-    void observe(double predicted_accesses, double measured_time);
+    void observe(std::size_t series, double x, double y);
+    /** The single-series form: feeds series 0. */
+    void observe(double x, double y) { observe(0, x, y); }
 
     /** Streaming Pearson correlation; 0 when degenerate or n < 2. */
-    double correlation() const;
+    double correlation(std::size_t series = 0) const
+    {
+        return cells[cellIndex(series)].correlation();
+    }
 
     /** True when |correlation| >= threshold with enough samples. */
+    bool alerting(std::size_t series) const
+    {
+        return firing(cells[cellIndex(series)]);
+    }
+
+    /** True when any cell, the aggregate included, alerts. */
     bool alerting() const;
 
-    std::size_t samples() const { return n; }
+    std::size_t samples(std::size_t series = 0) const
+    {
+        return cells[cellIndex(series)].n;
+    }
+    /** Labelled series, not counting the aggregate. */
+    std::size_t series() const { return cells.size() - firstSeries; }
+    bool hasAggregate() const { return firstSeries == 1; }
     double alertThreshold() const { return cfg.alertThreshold; }
 
   private:
-    void publish();
+    /**
+     * Welford co-moments of one series and its instruments. The alert
+     * state is firing() of the moments, so it is derived, not stored.
+     */
+    struct Cell
+    {
+        std::size_t n = 0;
+        double meanX = 0.0, meanY = 0.0;
+        double m2x = 0.0, m2y = 0.0, cxy = 0.0;
+
+        Counter *observations = nullptr;
+        Counter *alertTransitions = nullptr;
+        Gauge *correlationGauge = nullptr;
+        Gauge *alertGauge = nullptr;
+
+        double correlation() const;
+    };
+
+    /** Appends a cell labelled @p labels plus (@p key, @p value). */
+    void addCell(MetricRegistry &registry, MetricRegistry::Labels labels,
+                 const std::string &key, const std::string &value);
+    void update(Cell &cell, double x, double y);
+    bool firing(const Cell &cell) const;
+    /** Index into cells of series @p s; panics on an unknown index. */
+    std::size_t cellIndex(std::size_t s) const;
 
     Config cfg;
-    std::size_t n = 0;
-    double meanX = 0.0, meanY = 0.0;
-    double m2x = 0.0, m2y = 0.0, cxy = 0.0;
-    bool alertState = false;
-
-    Counter &observations;
-    Counter &alertTransitions;
-    Gauge &correlationGauge;
-    Gauge &alertGauge;
-    Gauge &thresholdGauge;
+    /** 1 when cells[0] is the aggregate, else 0. */
+    std::size_t firstSeries = 0;
+    std::vector<Cell> cells;
 };
 
 /**
- * Leakage auditing for a replicated deployment: one LeakageAuditor per
- * replica (labelled replica="<i>") plus a fleet-wide aggregate
- * (replica="fleet") that sees every observation.
- *
- * The split matters for the attack surface: an attacker pinned to one
- * replica concentrates signal where that replica's auditor watches,
- * while spraying probes across the fleet dilutes each per-replica
- * series — but the aggregate still accumulates the full sample. A
- * deployment alerts on either.
+ * The fleet's family: replica="<i>" for each of @p num_replicas plus
+ * the replica="fleet" aggregate.
  */
-class FleetLeakageAuditor
+// Kept as a named type: perfbench/fleet_autoscale.cpp constructs it.
+class FleetLeakageAuditor : public LeakageAuditor
 {
   public:
-    FleetLeakageAuditor(MetricRegistry &registry,
-                        const LeakageAuditor::Config &config,
+    FleetLeakageAuditor(MetricRegistry &registry, const Config &config,
                         unsigned num_replicas);
-
-    /** Feed one completed probe served by @p replica. */
-    void observe(unsigned replica, double predicted_accesses,
-                 double measured_time);
-
-    /** Per-replica streaming correlation. */
-    double correlation(unsigned replica) const;
-
-    /** Correlation over every observation fleet-wide. */
-    double fleetCorrelation() const { return aggregate.correlation(); }
-
-    /** True when any per-replica or the aggregate auditor alerts. */
-    bool alerting() const;
-
-    std::size_t samples(unsigned replica) const;
-    std::size_t fleetSamples() const { return aggregate.samples(); }
-    unsigned replicas() const
-    {
-        return static_cast<unsigned>(perReplica.size());
-    }
-
-  private:
-    /** Auditors are not movable (reference members); box them. */
-    std::vector<std::unique_ptr<LeakageAuditor>> perReplica;
-    LeakageAuditor aggregate;
-};
-
-/**
- * Leakage *attribution*: the paper's Pearson statistic per pipeline
- * stage. One LeakageAuditor per named stage (labelled stage="<name>")
- * correlates the predicted baseline access count against that stage's
- * per-request last-round duration, so a run reports WHERE the
- * key-dependent time lives, not just that it exists. Paper
- * prediction: under BASE the coalescer/DRAM stages carry the signal;
- * RSS/RTS push every per-stage correlation into the noise floor.
- *
- * Pearson correlation is scale- and offset-invariant, so stages in
- * different clock domains (DRAM service runs on the memory clock)
- * attribute correctly without conversion.
- */
-class StageLeakageAuditor
-{
-  public:
-    /**
-     * @param stage_names label values, indexed by the stage argument
-     *        of observe(); typically rcoal::spans stage names.
-     */
-    StageLeakageAuditor(MetricRegistry &registry,
-                        const LeakageAuditor::Config &config,
-                        std::vector<std::string> stage_names,
-                        const MetricRegistry::Labels &labels = {});
-
-    /** Feed one completed request's X and stage-duration Y. */
-    void observe(std::size_t stage, double predicted_accesses,
-                 double stage_duration);
-
-    double correlation(std::size_t stage) const;
-    bool alerting(std::size_t stage) const;
-
-    /** True when any stage's auditor alerts. */
-    bool anyAlerting() const;
-
-    std::size_t samples(std::size_t stage) const;
-    std::size_t stages() const { return perStage.size(); }
-    const std::string &stageName(std::size_t stage) const;
-
-  private:
-    std::vector<std::string> names;
-    /** Auditors are not movable (reference members); box them. */
-    std::vector<std::unique_ptr<LeakageAuditor>> perStage;
 };
 
 } // namespace rcoal::telemetry

@@ -5,215 +5,135 @@
 
 #include "rcoal/telemetry/leakage_auditor.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <string>
-#include <utility>
 
 #include "rcoal/common/logging.hpp"
 
 namespace rcoal::telemetry {
 
-LeakageAuditor::LeakageAuditor(MetricRegistry &registry,
-                               const Config &config,
-                               const MetricRegistry::Labels &labels)
-    : cfg(config),
-      observations(registry.counter(
-          "rcoal_leakage_observations_total",
-          "Completed requests fed to the leakage auditor", labels)),
-      alertTransitions(registry.counter(
-          "rcoal_leakage_alert_transitions_total",
-          "Times the leakage alert flipped from clear to firing",
-          labels)),
-      correlationGauge(registry.gauge(
-          "rcoal_leakage_correlation",
-          "Streaming Pearson correlation between baseline-predicted "
-          "last-round coalesced accesses and measured last-round time",
-          labels)),
-      alertGauge(registry.gauge(
-          "rcoal_leakage_alert",
-          "1 when |rcoal_leakage_correlation| is at or above the "
-          "alert threshold with enough samples",
-          labels)),
-      thresholdGauge(registry.gauge(
-          "rcoal_leakage_alert_threshold",
-          "Configured |correlation| alert threshold", labels))
+LeakageAuditor::LeakageAuditor(MetricRegistry &registry, const Config &config,
+                               const MetricRegistry::Labels &labels,
+                               const std::string &key,
+                               const std::vector<std::string> &values,
+                               const char *aggregate)
+    : cfg(config), firstSeries(aggregate != nullptr ? 1 : 0)
 {
     RCOAL_ASSERT(cfg.alertThreshold > 0.0 && cfg.alertThreshold < 1.0,
                  "leakage alert threshold %f outside (0, 1)",
                  cfg.alertThreshold);
-    RCOAL_ASSERT(cfg.minSamples >= 2,
-                 "correlation needs at least 2 samples");
-    thresholdGauge.set(cfg.alertThreshold);
-    publish();
+    RCOAL_ASSERT(cfg.minSamples >= 2, "correlation needs at least 2 samples");
+    RCOAL_ASSERT(key.empty() ? values.size() == 1 && aggregate == nullptr
+                             : !values.empty(),
+                 "leakage family needs one series per label value");
+    if (aggregate != nullptr)
+        addCell(registry, labels, key, aggregate);
+    for (const std::string &value : values)
+        addCell(registry, labels, key, value);
 }
 
 void
-LeakageAuditor::observe(double predicted_accesses,
-                        double measured_time)
+LeakageAuditor::addCell(MetricRegistry &registry,
+                        MetricRegistry::Labels labels,
+                        const std::string &key, const std::string &value)
 {
-    ++n;
-    const double count = static_cast<double>(n);
-    const double dx = predicted_accesses - meanX;
-    meanX += dx / count;
-    const double dy = measured_time - meanY;
-    meanY += dy / count;
-    const double dx2 = predicted_accesses - meanX;
-    const double dy2 = measured_time - meanY;
-    m2x += dx * dx2;
-    m2y += dy * dy2;
-    cxy += dx * dy2;
+    if (!key.empty())
+        labels.emplace_back(key, value);
+    Cell &cell = cells.emplace_back();
+    cell.observations = &registry.counter(
+        "rcoal_leakage_observations_total",
+        "Completed requests fed to the leakage auditor", labels);
+    cell.alertTransitions = &registry.counter(
+        "rcoal_leakage_alert_transitions_total",
+        "Times the leakage alert flipped from clear to firing", labels);
+    cell.correlationGauge = &registry.gauge(
+        "rcoal_leakage_correlation",
+        "Streaming Pearson correlation between baseline-predicted "
+        "last-round coalesced accesses and measured last-round time",
+        labels);
+    cell.alertGauge = &registry.gauge(
+        "rcoal_leakage_alert",
+        "1 when |rcoal_leakage_correlation| is at or above the "
+        "alert threshold with enough samples",
+        labels);
+    registry
+        .gauge("rcoal_leakage_alert_threshold",
+               "Configured |correlation| alert threshold", labels)
+        .set(cfg.alertThreshold);
+}
 
-    observations.inc();
-    const bool firing = alerting();
-    if (firing && !alertState)
-        alertTransitions.inc();
-    alertState = firing;
-    publish();
+void
+LeakageAuditor::observe(std::size_t series, double x, double y)
+{
+    const std::size_t index = cellIndex(series);
+    update(cells[index], x, y);
+    if (hasAggregate() && index != 0)
+        update(cells[0], x, y);
+}
+
+void
+LeakageAuditor::update(Cell &cell, double x, double y)
+{
+    const bool was_firing = firing(cell);
+    const double count = static_cast<double>(++cell.n);
+    const double dx = x - cell.meanX;
+    const double dy = y - cell.meanY;
+    cell.meanX += dx / count;
+    cell.meanY += dy / count;
+    const double dy2 = y - cell.meanY;
+    cell.m2x += dx * (x - cell.meanX);
+    cell.m2y += dy * dy2;
+    cell.cxy += dx * dy2;
+
+    cell.observations->inc();
+    const bool now_firing = firing(cell);
+    if (now_firing && !was_firing)
+        cell.alertTransitions->inc();
+    cell.correlationGauge->set(cell.correlation());
+    cell.alertGauge->set(now_firing ? 1.0 : 0.0);
 }
 
 double
-LeakageAuditor::correlation() const
+LeakageAuditor::Cell::correlation() const
 {
-    if (n < 2 || m2x <= 0.0 || m2y <= 0.0)
-        return 0.0;
-    return cxy / std::sqrt(m2x * m2y);
+    const bool degenerate = n < 2 || m2x <= 0.0 || m2y <= 0.0;
+    return degenerate ? 0.0 : cxy / std::sqrt(m2x * m2y);
+}
+
+bool
+LeakageAuditor::firing(const Cell &cell) const
+{
+    return cell.n >= cfg.minSamples &&
+           std::fabs(cell.correlation()) >= cfg.alertThreshold;
+}
+
+std::size_t
+LeakageAuditor::cellIndex(std::size_t s) const
+{
+    RCOAL_ASSERT(s == kAggregate ? hasAggregate() : s < series(),
+                 "unknown leakage series %zu (of %zu)", s, series());
+    return s == kAggregate ? 0 : firstSeries + s;
 }
 
 bool
 LeakageAuditor::alerting() const
 {
-    return n >= cfg.minSamples &&
-           std::fabs(correlation()) >= cfg.alertThreshold;
+    return std::ranges::any_of(cells,
+                               [this](const Cell &c) { return firing(c); });
 }
 
-void
-LeakageAuditor::publish()
+FleetLeakageAuditor::FleetLeakageAuditor(MetricRegistry &registry,
+                                         const Config &config,
+                                         unsigned num_replicas)
+    : LeakageAuditor(registry, config, {}, "replica",
+                     [num_replicas] {
+                         std::vector<std::string> names;
+                         for (unsigned r = 0; r < num_replicas; ++r)
+                             names.push_back(std::to_string(r));
+                         return names;
+                     }(),
+                     "fleet")
 {
-    correlationGauge.set(correlation());
-    alertGauge.set(alertState ? 1.0 : 0.0);
-}
-
-FleetLeakageAuditor::FleetLeakageAuditor(
-    MetricRegistry &registry, const LeakageAuditor::Config &config,
-    unsigned num_replicas)
-    : aggregate(registry, config, {{"replica", "fleet"}})
-{
-    RCOAL_ASSERT(num_replicas > 0,
-                 "fleet auditor needs at least one replica");
-    perReplica.reserve(num_replicas);
-    for (unsigned r = 0; r < num_replicas; ++r) {
-        perReplica.push_back(std::make_unique<LeakageAuditor>(
-            registry, config,
-            MetricRegistry::Labels{{"replica", std::to_string(r)}}));
-    }
-}
-
-void
-FleetLeakageAuditor::observe(unsigned replica,
-                             double predicted_accesses,
-                             double measured_time)
-{
-    RCOAL_ASSERT(replica < perReplica.size(),
-                 "observation for unknown replica %u", replica);
-    perReplica[replica]->observe(predicted_accesses, measured_time);
-    aggregate.observe(predicted_accesses, measured_time);
-}
-
-double
-FleetLeakageAuditor::correlation(unsigned replica) const
-{
-    RCOAL_ASSERT(replica < perReplica.size(),
-                 "correlation for unknown replica %u", replica);
-    return perReplica[replica]->correlation();
-}
-
-bool
-FleetLeakageAuditor::alerting() const
-{
-    if (aggregate.alerting())
-        return true;
-    for (const auto &auditor : perReplica) {
-        if (auditor->alerting())
-            return true;
-    }
-    return false;
-}
-
-std::size_t
-FleetLeakageAuditor::samples(unsigned replica) const
-{
-    RCOAL_ASSERT(replica < perReplica.size(),
-                 "samples for unknown replica %u", replica);
-    return perReplica[replica]->samples();
-}
-
-StageLeakageAuditor::StageLeakageAuditor(
-    MetricRegistry &registry, const LeakageAuditor::Config &config,
-    std::vector<std::string> stage_names,
-    const MetricRegistry::Labels &labels)
-    : names(std::move(stage_names))
-{
-    RCOAL_ASSERT(!names.empty(),
-                 "stage auditor needs at least one stage");
-    perStage.reserve(names.size());
-    for (const std::string &name : names) {
-        MetricRegistry::Labels staged = labels;
-        staged.emplace_back("stage", name);
-        perStage.push_back(
-            std::make_unique<LeakageAuditor>(registry, config, staged));
-    }
-}
-
-void
-StageLeakageAuditor::observe(std::size_t stage,
-                             double predicted_accesses,
-                             double stage_duration)
-{
-    RCOAL_ASSERT(stage < perStage.size(),
-                 "observation for unknown stage %zu", stage);
-    perStage[stage]->observe(predicted_accesses, stage_duration);
-}
-
-double
-StageLeakageAuditor::correlation(std::size_t stage) const
-{
-    RCOAL_ASSERT(stage < perStage.size(),
-                 "correlation for unknown stage %zu", stage);
-    return perStage[stage]->correlation();
-}
-
-bool
-StageLeakageAuditor::alerting(std::size_t stage) const
-{
-    RCOAL_ASSERT(stage < perStage.size(),
-                 "alerting for unknown stage %zu", stage);
-    return perStage[stage]->alerting();
-}
-
-bool
-StageLeakageAuditor::anyAlerting() const
-{
-    for (const auto &auditor : perStage) {
-        if (auditor->alerting())
-            return true;
-    }
-    return false;
-}
-
-std::size_t
-StageLeakageAuditor::samples(std::size_t stage) const
-{
-    RCOAL_ASSERT(stage < perStage.size(),
-                 "samples for unknown stage %zu", stage);
-    return perStage[stage]->samples();
-}
-
-const std::string &
-StageLeakageAuditor::stageName(std::size_t stage) const
-{
-    RCOAL_ASSERT(stage < names.size(), "name for unknown stage %zu",
-                 stage);
-    return names[stage];
 }
 
 } // namespace rcoal::telemetry

@@ -149,7 +149,7 @@ TEST(FleetServerTest, TelemetryAndFleetAuditorSeeTheRun)
 
     // Every completed probe reached the auditor: each per-replica
     // series plus the aggregate, which saw all of them.
-    EXPECT_EQ(auditor.fleetSamples(), 6u);
+    EXPECT_EQ(auditor.samples(telemetry::LeakageAuditor::kAggregate), 6u);
     EXPECT_EQ(auditor.samples(0) + auditor.samples(1), 6u);
 
     EXPECT_GT(sampler.samplesTaken(), 0u);

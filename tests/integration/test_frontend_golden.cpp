@@ -148,8 +148,8 @@ serveGoldenRun()
     telemetry::TelemetrySampler sampler(registry,
                                         /*interval_cycles=*/1000);
     telemetry::LeakageAuditor auditor(registry, {});
-    telemetry::StageLeakageAuditor stage_auditor(registry, {},
-                                                 stageNames());
+    telemetry::LeakageAuditor stage_auditor(registry, {}, {}, "stage",
+                                            stageNames());
     spans::SpanCollector collector;
     trace::Tracer tracer(/*capacity_per_sink=*/256);
     serve::ServeTelemetry hooks;

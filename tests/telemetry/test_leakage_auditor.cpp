@@ -140,8 +140,9 @@ TEST(TelemetryLeakageAuditor, FamilyExpositionGolden)
     const LeakageAuditor::Config cfg;
     LeakageAuditor single(reg, cfg, {{"policy", "BASE"}});
     FleetLeakageAuditor fleet(reg, cfg, 3);
-    StageLeakageAuditor stage(reg, cfg, {"queue", "coalesce", "dram"},
-                              {{"policy", "BASE"}, {"hierarchy", "flat"}});
+    LeakageAuditor stage(reg, cfg,
+                         {{"policy", "BASE"}, {"hierarchy", "flat"}},
+                         "stage", {"queue", "coalesce", "dram"});
 
     std::uint64_t state = 20261021;
     for (int i = 0; i < 40; ++i) {
@@ -203,8 +204,8 @@ TEST(TelemetryLeakageAuditorDeathTest, RejectsUnknownReplica)
 TEST(TelemetryLeakageAuditorDeathTest, RejectsUnknownStage)
 {
     MetricRegistry reg;
-    StageLeakageAuditor stage(reg, LeakageAuditor::Config{},
-                              {"queue", "coalesce", "dram"});
+    LeakageAuditor stage(reg, LeakageAuditor::Config{}, {}, "stage",
+                         {"queue", "coalesce", "dram"});
     EXPECT_DEATH(stage.observe(3, 1.0, 2.0), "unknown");
     EXPECT_DEATH((void)stage.correlation(3), "unknown");
     EXPECT_DEATH((void)stage.alerting(3), "unknown");
